@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, fields
 
 from .baselines import OracleAlignedSuggester, rmax_learn, ucb_learn
 from .core import Demonstration, Task
@@ -15,24 +16,32 @@ class ConfigError(ValueError):
     pass
 
 
-def _bps(task, demo, cfg):
+@dataclass(frozen=True, kw_only=True)
+class AgentOptions:
+    """Settings of the plan-search agents; the tabular agents take none."""
+
+    n_hypotheses: int = 4  # N1: tracked sketch hypotheses, the blank one included
+    optimistic: bool = True  # the optimistic rule answers in open runs
+    early_reset: bool = False  # end an episode at its first failure instead of burning out
+    min_repeat_len: int = 2  # shortest mined repeat
+
+
+def _bps(task, demo, opts):
     return UniformSuggester()
 
 
-def _plots_sketch(task, demo, cfg):
+def _plots_sketch(task, demo, opts):
     if demo.sketch is None:
         raise ConfigError(f"agent plots_sketch needs a sketch, env {task.name!r} has none")
     return SketchPoolSuggester(demo.sketch, demo.horizon,
-                               n_active=cfg.get("n_hypotheses", 4),
-                               optimistic=cfg.get("optimistic", True))
+                               n_active=opts.n_hypotheses, optimistic=opts.optimistic)
 
 
-def _plots_nosketch(task, demo, cfg):
-    return RepeatPoolSuggester(min_repeat_len=cfg.get("min_repeat_len", 2),
-                               max_candidates=cfg.get("max_candidates"))
+def _plots_nosketch(task, demo, opts):
+    return RepeatPoolSuggester(min_repeat_len=opts.min_repeat_len)
 
 
-def _bpsosa(task, demo, cfg):
+def _bpsosa(task, demo, opts):
     if task.alignment is None or demo.sketch is None:
         raise ConfigError(f"agent bpsosa needs an oracle alignment, env {task.name!r} has none")
     return OracleAlignedSuggester(task.alignment, demo.sketch)
@@ -55,14 +64,18 @@ AGENT_NAMES = tuple(SUGGESTER_REGISTRY) + tuple(MODEL_REGISTRY)
 
 def run_agent(name: str, task: Task, demo: Demonstration, seed: int,
               budget: int, cfg: dict | None = None) -> LearnReport:
-    """One full learning run of the named agent on the task."""
-    cfg = cfg or {}
+    """One full learning run of the named agent on the task; `cfg` maps
+    AgentOptions field names to values."""
+    known = {f.name for f in fields(AgentOptions)}
+    unknown = sorted(set(cfg or {}) - known)
+    if unknown:
+        raise ConfigError(f"unknown agent options {unknown}; known: {sorted(known)}")
+    opts = AgentOptions(**(cfg or {}))
     env = task.env()
     if name in SUGGESTER_REGISTRY:
-        suggester = SUGGESTER_REGISTRY[name](task, demo, cfg)
+        suggester = SUGGESTER_REGISTRY[name](task, demo, opts)
         rng = random.Random(seed)
-        return learn(env, demo, suggester, rng, budget,
-                     early_reset=cfg.get("early_reset", False))
+        return learn(env, demo, suggester, rng, budget, early_reset=opts.early_reset)
     if name in MODEL_REGISTRY:
         return MODEL_REGISTRY[name](env, demo, budget)
     raise ConfigError(f"unknown agent {name!r}; known: {sorted(AGENT_NAMES)}")

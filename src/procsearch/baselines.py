@@ -86,8 +86,52 @@ class _TokenTable:
         return self.index.get(tok, _TERM)
 
 
-def _episode_rows(rows, ep, steps, best, done):
-    rows.append((ep, steps, best, 0, done))
+def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> LearnReport:
+    """The episode loop of both tabular agents.
+
+    `make_policy(table, n_actions)` returns the agent's `choose(s, t)`, the
+    action to take in state s at position t, and `observe(s, a, z)`, called
+    after every step with the state it reached.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1 episode")
+    horizon = demo.horizon
+    table = _TokenTable(demo, env.reset())
+    choose, observe = make_policy(table, env.n_actions)
+    rows = []
+    total_steps = 0
+    prev_trace = None
+    best_matched = 0
+    for ep in range(1, budget + 1):
+        obs = env.reset()
+        s = table.of(obs)
+        trace = []
+        matched = 0
+        all_ok = True
+        for t in range(horizon):
+            if s == _TERM:
+                break
+            a = choose(s, t)
+            obs = env.step(a)
+            z = table.of(obs)
+            trace.append((s, a, z))
+            observe(s, a, z)
+            if obs == demo.observations[t] and all_ok:
+                matched += 1
+            else:
+                all_ok = False
+            s = z
+        total_steps += len(trace)
+        best_matched = max(best_matched, matched)
+        done = matched == horizon
+        rows.append((ep, len(trace), best_matched, 0, done))
+        if done:
+            return LearnReport(tuple(a for _, a, _ in trace), ep, total_steps, 0, True, rows)
+        key = tuple(trace)
+        if key == prev_trace:
+            break  # fixed point: identical episode, no new knowledge, no completion
+        prev_trace = key
+    return LearnReport((), budget, total_steps, 0, False, rows)
 
 
 def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
@@ -97,84 +141,46 @@ def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
     reward; the value function is recomputed whenever the model grows (it
     cannot change otherwise, so this equals replanning every step).
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1 episode")
     horizon = demo.horizon
-    start = env.reset()
-    table = _TokenTable(demo, start)
-    n_tok, n_act = table.n, env.n_actions
-    trans = np.full((n_tok, n_act), _UNKNOWN, dtype=np.int64)
-    emit = np.full((n_tok, n_act), _TERM, dtype=np.int64)
-    values = np.zeros((horizon + 1, n_tok))
-    stale = True
 
-    def replan():
-        v = np.zeros((horizon + 1, n_tok))
-        known = trans != _UNKNOWN
-        nxt = np.clip(trans, 0, None)       # TERM/unknown clipped; masked below
-        on_vocab = trans >= 0
-        reward = (emit == table.expect[:, None]).astype(float)
-        for t in range(horizon - 1, -1, -1):
-            cont = np.where(on_vocab, v[t + 1][nxt], 0.0)
-            q = np.where(known, reward + cont, float(horizon - t))
-            v[t] = q.max(axis=1)
-        return v
+    def policy(table: _TokenTable, n_act: int):
+        trans = np.full((table.n, n_act), _UNKNOWN, dtype=np.int64)
+        values = None  # stale until the next choice after the model grows
 
-    def choose(s: int, t: int) -> int:
-        row_known = trans[s] != _UNKNOWN
-        reward = (emit[s] == table.expect[s]).astype(float)
-        cont = np.where(trans[s] >= 0, values[t + 1][np.clip(trans[s], 0, None)], 0.0)
-        q = np.where(row_known, reward + cont, float(horizon - t))
-        best = q.max()
-        tied = np.flatnonzero(q >= best - 1e-12)
-        untried = [a for a in tied if not row_known[a]]
-        return int(untried[0] if untried else tied[0])
+        def replan():
+            v = np.zeros((horizon + 1, table.n))
+            known = trans != _UNKNOWN
+            nxt = np.clip(trans, 0, None)       # TERM/unknown clipped; masked below
+            on_vocab = trans >= 0
+            reward = (trans == table.expect[:, None]).astype(float)
+            for t in range(horizon - 1, -1, -1):
+                cont = np.where(on_vocab, v[t + 1][nxt], 0.0)
+                q = np.where(known, reward + cont, float(horizon - t))
+                v[t] = q.max(axis=1)
+            return v
 
-    rows = []
-    total_steps = 0
-    prev_trace = None
-    best_matched = 0
-    for ep in range(1, budget + 1):
-        obs = env.reset()
-        s = table.of(obs)
-        trace = []
-        actions = []
-        matched = 0
-        all_ok = True
-        steps = 0
-        for t in range(horizon):
-            if s == _TERM:
-                break
-            if stale:
+        def choose(s: int, t: int) -> int:
+            nonlocal values
+            if values is None:
                 values = replan()
-                stale = False
-            a = choose(s, t)
-            obs = env.step(a)
-            steps += 1
-            z = table.of(obs)
-            trace.append((s, a, z))
-            actions.append(a)
+            row_known = trans[s] != _UNKNOWN
+            reward = (trans[s] == table.expect[s]).astype(float)
+            cont = np.where(trans[s] >= 0, values[t + 1][np.clip(trans[s], 0, None)], 0.0)
+            q = np.where(row_known, reward + cont, float(horizon - t))
+            best = q.max()
+            tied = np.flatnonzero(q >= best - 1e-12)
+            untried = [a for a in tied if not row_known[a]]
+            return int(untried[0] if untried else tied[0])
+
+        def observe(s: int, a: int, z: int) -> None:
+            nonlocal values
             if trans[s, a] == _UNKNOWN:
                 trans[s, a] = z
-                emit[s, a] = z
-                stale = True
-            ok = obs == demo.observations[t]
-            if ok and all_ok:
-                matched += 1
-            else:
-                all_ok = False
-            s = z
-        total_steps += steps
-        best_matched = max(best_matched, matched)
-        done = matched == horizon
-        _episode_rows(rows, ep, steps, best_matched, done)
-        if done:
-            return LearnReport(tuple(actions), ep, total_steps, 0, True, rows)
-        key = tuple(trace)
-        if key == prev_trace:
-            break  # fixed point: identical episode, no new knowledge, no completion
-        prev_trace = key
-    return LearnReport((), budget, total_steps, 0, False, rows)
+                values = None
+
+        return choose, observe
+
+    return _tabular_learn(env, demo, budget, policy)
 
 
 def ucb_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
@@ -183,58 +189,21 @@ def ucb_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
     Rewards are deterministic, so one pull pins an arm's bound; untried arms
     have an infinite bound and are always taken first (lowest id first).
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1 episode")
-    horizon = demo.horizon
-    start = env.reset()
-    table = _TokenTable(demo, start)
-    n_tok, n_act = table.n, env.n_actions
-    tried = np.zeros((n_tok, n_act), dtype=bool)
-    reward = np.zeros((n_tok, n_act))
+    def policy(table: _TokenTable, n_act: int):
+        tried = np.zeros((table.n, n_act), dtype=bool)
+        reward = np.zeros((table.n, n_act))
 
-    def choose(s: int) -> int:
-        row = tried[s]
-        if not row.all():
-            return int(np.flatnonzero(~row)[0])
-        return int(reward[s].argmax())
+        def choose(s: int, t: int) -> int:
+            row = tried[s]
+            if not row.all():
+                return int(np.flatnonzero(~row)[0])
+            return int(reward[s].argmax())
 
-    rows = []
-    total_steps = 0
-    prev_trace = None
-    best_matched = 0
-    for ep in range(1, budget + 1):
-        obs = env.reset()
-        s = table.of(obs)
-        trace = []
-        actions = []
-        matched = 0
-        all_ok = True
-        steps = 0
-        for t in range(horizon):
-            if s == _TERM:
-                break
-            a = choose(s)
-            obs = env.step(a)
-            steps += 1
-            z = table.of(obs)
-            trace.append((s, a, z))
-            actions.append(a)
+        def observe(s: int, a: int, z: int) -> None:
             if not tried[s, a]:
                 tried[s, a] = True
                 reward[s, a] = 1.0 if z == table.expect[s] else 0.0
-            if obs == demo.observations[t] and all_ok:
-                matched += 1
-            else:
-                all_ok = False
-            s = z
-        total_steps += steps
-        best_matched = max(best_matched, matched)
-        done = matched == horizon
-        _episode_rows(rows, ep, steps, best_matched, done)
-        if done:
-            return LearnReport(tuple(actions), ep, total_steps, 0, True, rows)
-        key = tuple(trace)
-        if key == prev_trace:
-            break
-        prev_trace = key
-    return LearnReport((), budget, total_steps, 0, False, rows)
+
+        return choose, observe
+
+    return _tabular_learn(env, demo, budget, policy)

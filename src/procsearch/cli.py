@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .agents import ConfigError
 from .core import write_demo_file
 from .envs import make_task
-from .harness import RunConfig, parse_sweep_spec, run, sweep
+from .harness import RunConfig, field_type, parse_sweep_spec, run, sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,15 +24,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("run", help="one seeded learning run")
-    pr.add_argument("--env", required=True)
-    pr.add_argument("--agent", required=True)
-    pr.add_argument("--seed", type=int, required=True)
-    pr.add_argument("--n-hypotheses", type=int, default=4)
-    pr.add_argument("--max-episodes", type=int, default=30000)
-    pr.add_argument("--min-repeat-len", type=int, default=2)
-    pr.add_argument("--no-optimistic", action="store_true")
-    pr.add_argument("--early-reset", action="store_true")
-    pr.add_argument("--out", default=None, help="directory for the per-episode CSV")
+    # one flag per RunConfig field, required ones first; a bool flag flips
+    # the field's default
+    for f in sorted(fields(RunConfig), key=lambda f: f.default is not MISSING):
+        name = f.name.replace("_", "-")
+        kind = field_type(f)
+        if kind is bool:
+            pr.add_argument(f"--no-{name}" if f.default else f"--{name}", dest=f.name,
+                            action="store_false" if f.default else "store_true")
+        else:
+            pr.add_argument(f"--{name}", dest=f.name, type=kind, required=f.default is MISSING,
+                            default=f.default, help=f.metadata.get("help"))
 
     ps = sub.add_parser("sweep", help="run a grid of configs from a spec file")
     ps.add_argument("--spec", required=True)
@@ -48,12 +51,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = RunConfig(
-                env=args.env, agent=args.agent, seed=args.seed,
-                n_hypotheses=args.n_hypotheses, max_episodes=args.max_episodes,
-                optimistic=not args.no_optimistic, early_reset=args.early_reset,
-                min_repeat_len=args.min_repeat_len, out=args.out,
-            )
+            config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
             record = run(config)
             print(f"env={config.env} agent={config.agent} seed={config.seed} "
                   f"episodes={record.episodes} steps={record.total_steps} "

@@ -126,9 +126,12 @@ def record_demonstration(env: Env, solution_actions, sketch: Sketch | None = Non
 
 
 def write_demo_file(demo: Demonstration, n_actions: int) -> str:
-    for tok in demo.observations:
+    labels = demo.sketch.elements if demo.sketch is not None else ()
+    for tok in (*demo.observations, *labels):
         if not tok or tok.split() != [tok]:
             raise ValueError(f"token not serializable on one line: {tok!r}")
+    if "SKETCH" in demo.observations:
+        raise ValueError("observation token 'SKETCH' would read back as the sketch trailer")
     lines = [f"H={demo.horizon} A={n_actions}"]
     lines.extend(demo.observations)
     if demo.sketch is not None:
@@ -147,9 +150,11 @@ def read_demo_file(text: str) -> tuple[Demonstration, int]:
         a = int(header[1].removeprefix("A="))
     except (IndexError, ValueError) as e:
         raise ValueError(f"bad header line: {lines[0]!r}") from e
+    if a < 1:
+        raise ValueError(f"bad header line (need A >= 1): {lines[0]!r}")
     sketch = None
     body = lines[1:]
-    if body and body[-1].startswith("SKETCH"):
+    if body and body[-1].split()[0] == "SKETCH":
         sketch = Sketch(tuple(body[-1].split()[1:]))
         body = body[:-1]
     if len(body) != h:

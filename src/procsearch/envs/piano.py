@@ -114,20 +114,3 @@ def notes_only_view(demo: Demonstration) -> Demonstration:
     notes = tuple(t for t in demo.observations if t != SILENCE)
     return Demonstration(notes, demo.sketch)
 
-
-# Score file: one note name per line, then a `SKETCH <label>...` trailer.
-
-def write_score_file(notes, sketch: Sketch | None = None) -> str:
-    lines = list(notes)
-    if sketch is not None:
-        lines.append("SKETCH " + " ".join(sketch.elements))
-    return "\n".join(lines) + "\n"
-
-
-def read_score_file(text: str) -> tuple[tuple[str, ...], Sketch | None]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    sketch = None
-    if lines and lines[-1].startswith("SKETCH"):
-        sketch = Sketch(tuple(lines[-1].split()[1:]))
-        lines = lines[:-1]
-    return tuple(intern_token(t) for t in lines), sketch

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, fields, replace
+from itertools import groupby, product
 from pathlib import Path
+from typing import get_args, get_type_hints
 
-from .agents import AGENT_NAMES, ConfigError, run_agent
+from .agents import AGENT_NAMES, AgentOptions, ConfigError, run_agent
 from .envs import ENV_REGISTRY, make_task
 from .search import LearnReport
 
@@ -21,16 +23,15 @@ CSV_HEADER = "episode,steps,matched,backtracks,done"
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(AgentOptions):
+    """One seeded run. Every field is a flag of the `run` command and, apart
+    from `out`, a sweep-spec key; both front ends are generated from here."""
+
     env: str
     agent: str
     seed: int
-    n_hypotheses: int = 4
     max_episodes: int = 30000
-    optimistic: bool = True
-    early_reset: bool = False
-    min_repeat_len: int = 2
-    out: str | None = None
+    out: str | None = field(default=None, metadata={"help": "directory for the per-episode CSV"})
 
     def validate(self) -> None:
         if self.env not in ENV_REGISTRY:
@@ -44,6 +45,29 @@ class RunConfig:
 
     def label(self) -> str:
         return f"{self.env}_{self.agent}_s{self.seed}"
+
+
+_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def field_type(f: Field) -> type:
+    """The value type of RunConfig field `f`, None dropped from an optional
+    type; a TypeError unless bool, int or str, which the front ends parse."""
+    kind = get_type_hints(RunConfig)[f.name]
+    kind = next((k for k in get_args(kind) if k is not type(None)), kind)
+    if kind not in (bool, int, str):
+        raise TypeError(f"RunConfig field {f.name!r} has unsupported type {kind!r}")
+    return kind
+
+
+def option_value(f: Field, text: str):
+    """`text` parsed as a value of RunConfig field `f`; ValueError if it is none."""
+    kind = field_type(f)
+    if kind is not bool:
+        return kind(text)
+    if text.lower() not in _BOOL:
+        raise ValueError(f"{f.name} must be one of {sorted(_BOOL)}")
+    return _BOOL[text.lower()]
 
 
 @dataclass
@@ -67,14 +91,9 @@ def run(config: RunConfig) -> RunRecord:
     config.validate()
     task = make_task(config.env)
     demo = task.demo()
-    cfg = {
-        "n_hypotheses": config.n_hypotheses,
-        "optimistic": config.optimistic,
-        "early_reset": config.early_reset,
-        "min_repeat_len": config.min_repeat_len,
-    }
+    options = {f.name: getattr(config, f.name) for f in fields(AgentOptions)}
     report: LearnReport = run_agent(config.agent, task, demo, config.seed,
-                                    config.max_episodes, cfg)
+                                    config.max_episodes, options)
     record = RunRecord(config, demo.horizon, report.episodes, report.total_steps,
                        report.backtracks, report.complete, report.rows)
     if config.out:
@@ -94,68 +113,55 @@ def _parse_seeds(text: str) -> list[int]:
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"empty seed range {part!r}")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(part))
     return seeds
 
 
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_AXES = ("env", "agent", "seed")  # comma lists, written singular or plural
+# `out` is not a key: sweep() puts every run's CSV in its own directory
+_SWEEP_OPTIONS = {f.name: f for f in fields(RunConfig) if f.name not in (*_AXES, "out")}
 
 
 def parse_sweep_spec(text: str) -> list[RunConfig]:
     """Blocks of key=value lines (blank-line separated); each block expands
-    to the cross product of its envs x agents x seeds."""
+    to the cross product of its envs x agents x seeds. The other keys are
+    RunConfig fields; a bad key or value is a ConfigError quoting its line."""
     configs: list[RunConfig] = []
-    blocks: list[list[str]] = [[]]
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            if blocks[-1]:
-                blocks.append([])
+    lines = [raw.strip() for raw in text.splitlines()]
+    for blank, block in groupby(lines, key=lambda line: not line):
+        block = [line for line in block if not line.startswith("#")]
+        if blank or not block:
             continue
-        if line.startswith("#"):
-            continue
-        blocks[-1].append(line)
-    for block in blocks:
-        if not block:
-            continue
-        kv = {}
+        grid = {"seed": [0]}
+        extra = {}
         for line in block:
             if "=" not in line:
                 raise ConfigError(f"bad sweep line (want key=value): {line!r}")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
-        envs = [e.strip() for e in kv.pop("envs", kv.pop("env", "")).split(",") if e.strip()]
-        agents = [a.strip() for a in kv.pop("agents", kv.pop("agent", "")).split(",") if a.strip()]
-        seeds = _parse_seeds(kv.pop("seeds", kv.pop("seed", "0")))
-        if not envs or not agents:
+            key, value = (s.strip() for s in line.split("=", 1))
+            axis = key.removesuffix("s")
+            try:
+                if axis == "seed":
+                    grid[axis] = _parse_seeds(value)
+                elif axis in _AXES:
+                    grid[axis] = [x.strip() for x in value.split(",") if x.strip()]
+                elif key in _SWEEP_OPTIONS:
+                    extra[key] = option_value(_SWEEP_OPTIONS[key], value)
+                else:
+                    raise ValueError(f"unknown key; known: {sorted((*_AXES, *_SWEEP_OPTIONS))}")
+            except ValueError as e:
+                raise ConfigError(f"bad sweep line {line!r}: {e}") from None
+        if not grid.get("env") or not grid.get("agent"):
             raise ConfigError("each sweep block needs envs= and agents=")
-        extra = {}
-        if "n_hypotheses" in kv:
-            extra["n_hypotheses"] = int(kv.pop("n_hypotheses"))
-        if "max_episodes" in kv:
-            extra["max_episodes"] = int(kv.pop("max_episodes"))
-        if "min_repeat_len" in kv:
-            extra["min_repeat_len"] = int(kv.pop("min_repeat_len"))
-        if "optimistic" in kv:
-            extra["optimistic"] = _BOOL[kv.pop("optimistic").lower()]
-        if "early_reset" in kv:
-            extra["early_reset"] = _BOOL[kv.pop("early_reset").lower()]
-        if kv:
-            raise ConfigError(f"unknown sweep keys: {sorted(kv)}")
-        for env in envs:
-            for agent in agents:
-                for seed in seeds:
-                    configs.append(RunConfig(env=env, agent=agent, seed=seed, **extra))
+        configs += [RunConfig(env, agent, seed, **extra)
+                    for env, agent, seed in product(grid["env"], grid["agent"], grid["seed"])]
     if not configs:
         raise ConfigError("sweep spec produced no runs")
     return configs
-
-
-def _run_one(config: RunConfig) -> RunRecord:
-    return run(config)
 
 
 @dataclass
@@ -206,7 +212,7 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
         configs = [replace(c, out=str(out_path)) for c in configs]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            records = pool.map(_run_one, configs)
+            records = pool.map(run, configs)
     else:
         records = [run(c) for c in configs]
     rows = summarize(records)

@@ -111,15 +111,6 @@ class Hypothesis:
             self._enter(self.elem + 1, self.consumed)
         return True
 
-    def consumed_elements(self) -> int:
-        """How many sketch elements the alignment has fully consumed (the
-        first element of an open run counts as not yet consumed)."""
-        if self.is_complete:
-            return len(self.sketch)
-        if self.run_elem is not None:
-            return self.run_elem
-        return self.elem
-
     def key(self):
         return (tuple(sorted(self.assigned.items())), tuple(self.layout),
                 self.elem, self.offset, self.run_elem, self.run_pos0, self.consumed)
@@ -238,23 +229,14 @@ class Hypothesis:
             return pb[p + r], s2 - mid_min - p, rep
         return None
 
-    def suggest(self, pb: bytes, optimistic: bool = True) -> Action | None:
-        """Next action according to this hypothesis, None if it has no claim.
-
-        Inside an assigned element the next action is read off the
-        assignment; in an open run the optimistic rule answers (when on).
-        """
-        if self.is_complete:
-            return None
-        if self.run_elem is None:
-            return self.assigned[self.sketch[self.elem]][self.offset]
-        if not optimistic:
-            return None
-        claim = self.optimistic_claim(pb)
-        return None if claim is None else claim[0]
-
     def proposal(self, pb: bytes, optimistic: bool = True):
-        """(suggested action, effective score) or None if nothing to claim."""
+        """(suggested action, effective score), or None without a claim.
+
+        Inside an assigned element the action is read off the assignment and
+        the effective score is the base score; in an open run the optimistic
+        rule (when on) answers, and the score adds the reduction its
+        hypothesized main-label content would bring.
+        """
         if self.is_complete:
             return None
         if self.run_elem is None:
@@ -269,11 +251,10 @@ class Hypothesis:
         repeats = sum(1 for lbl in self.sketch[rep:] if lbl == m)
         return a, self.score() + repeats * length
 
-    def effective_score(self, pb: bytes, optimistic: bool = True) -> int:
-        """Base score plus, when the optimistic rule has a live match, the
-        reduction its hypothesized main-label assignment would add."""
+    def suggest(self, pb: bytes, optimistic: bool = True) -> Action | None:
+        """Next action according to this hypothesis, None if it has no claim."""
         got = self.proposal(pb, optimistic)
-        return self.score() if got is None else max(self.score(), got[1])
+        return None if got is None else got[0]
 
     # -- consistency ----------------------------------------------------------
 
@@ -323,7 +304,9 @@ class SketchPool:
 
     def _rank_key(self, pb: bytes):
         def key(h: Hypothesis):
-            return (-h.effective_score(pb, self.optimistic), -len(h.assigned), h.created)
+            # a claim's effective score is never below the base score
+            got = h.proposal(pb, self.optimistic)
+            return (-(h.score() if got is None else got[1]), -len(h.assigned), h.created)
         return key
 
     def stored_count(self) -> int:

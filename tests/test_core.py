@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from procsearch.core import (
     ContractViolation, Demonstration, Sketch, read_demo_file,
@@ -99,7 +99,26 @@ def test_demo_file_bad_inputs():
     with pytest.raises(ValueError):
         read_demo_file("garbage\nz1\n")
     with pytest.raises(ValueError):
+        read_demo_file("H=1 A=0\nz1\n")
+    with pytest.raises(ValueError):
         write_demo_file(Demonstration(("two words",)), 2)
+    with pytest.raises(ValueError):
+        write_demo_file(Demonstration(("z1",), Sketch(("two words",))), 2)
+    with pytest.raises(ValueError):
+        write_demo_file(Demonstration(("a", "SKETCH")), 2)
+
+
+_TOKEN = st.text(min_size=1, max_size=8).filter(lambda t: t.split() == [t] and t != "SKETCH")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TOKEN, min_size=1, max_size=6),
+       st.none() | st.lists(_TOKEN, min_size=1, max_size=4), st.integers(1, 50))
+@example(["a", "SKETCHy"], None, 2)
+def test_demo_file_round_trip_any_tokens(tokens, labels, n_actions):
+    sketch = None if labels is None else Sketch(tuple(labels))
+    demo = Demonstration(tuple(tokens), sketch)
+    assert read_demo_file(write_demo_file(demo, n_actions)) == (demo, n_actions)
 
 
 def test_spans_from_lengths():

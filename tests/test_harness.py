@@ -1,9 +1,13 @@
+from dataclasses import fields, replace
+
 import pytest
 
-from procsearch.agents import ConfigError
+from procsearch import cli
+from procsearch.agents import ConfigError, run_agent
+from procsearch.envs import make_task
 from procsearch.harness import (
-    RunConfig, learning_curves_svg, parse_sweep_spec, run, summarize,
-    summary_csv, sweep,
+    RunConfig, RunRecord, field_type, learning_curves_svg, parse_sweep_spec, run,
+    summarize, summary_csv, sweep,
 )
 
 
@@ -71,10 +75,43 @@ def test_parse_sweep_spec_rejects_garbage():
         parse_sweep_spec("")
     with pytest.raises(ConfigError):
         parse_sweep_spec("envs=chain\n")  # no agents
-    with pytest.raises(ConfigError):
-        parse_sweep_spec("envs=chain\nagents=bps\nbogus_key=1\n")
-    with pytest.raises(ConfigError):
-        parse_sweep_spec("envs=chain\nagents=bps\nthis is not a kv line")
+    # a bad line is named in the error
+    for line in ("bogus_key=1", "this is not a kv line", "optimistic=maybe",
+                 "n_hypotheses=x", "seeds=a", "seeds=3-1", "max_episodes=1.5"):
+        with pytest.raises(ConfigError, match=repr(line)):
+            parse_sweep_spec(f"envs=chain\nagents=bps\n{line}\n")
+
+
+def test_run_agent_rejects_unknown_options():
+    task = make_task("chain")
+    with pytest.raises(ConfigError, match="n_hypotheses_typo"):
+        run_agent("bps", task, task.demo(), 0, 10, {"n_hypotheses_typo": 3})
+
+
+def test_every_run_config_field_round_trips_through_cli_and_sweep(monkeypatch):
+    """Each field set to a non-default value through its generated `run`
+    flag and through its sweep key gives the same RunConfig."""
+    base = RunConfig("chain", "bps", 0)
+    captured = []
+    monkeypatch.setattr(cli, "run", lambda c: captured.append(c) or RunRecord(c, 1, 1, 1, 0, True))
+    for f in fields(RunConfig):
+        old = getattr(base, f.name)
+        kind = field_type(f)  # raises on a type neither front end can fill
+        new = (not old) if kind is bool else old + 3 if kind is int else f"x_{f.name}"
+        want = replace(base, **{f.name: new})
+        name = f.name.replace("_", "-")
+        args = ["run", "--env", "chain", "--agent", "bps", "--seed", "0"]
+        if kind is bool:
+            args.append(f"--no-{name}" if old else f"--{name}")
+        else:
+            args += [f"--{name}", str(new)]  # a repeated flag overrides the earlier one
+        assert cli.main(args) == 0
+        assert captured.pop() == want, f.name
+        if f.name == "out":  # sweep() sets it from its own output directory
+            continue
+        spec = {"env": "chain", "agent": "bps", "seed": "0", f.name: str(new)}
+        (got,) = parse_sweep_spec("".join(f"{k}={v}\n" for k, v in spec.items()))
+        assert got == want, f.name
 
 
 def test_sweep_summary_and_artifacts(tmp_path):

@@ -1,6 +1,6 @@
 from procsearch.envs.piano import (
     PIECE, PianoEnv, SILENCE, THUMB_DOWN, WRIST_UP,
-    key_name, make_piano_task, notes_only_view, read_score_file, write_score_file,
+    key_name, make_piano_task, notes_only_view,
 )
 
 
@@ -69,17 +69,6 @@ def test_demo_realizable_and_segments_fixed():
 def test_demo_is_aliased():
     demo = make_piano_task().demo()
     assert len(set(demo.observations)) < demo.horizon
-
-
-def test_score_file_round_trip():
-    task = make_piano_task()
-    demo = task.demo()
-    notes = notes_only_view(demo).observations
-    text = write_score_file(notes, demo.sketch)
-    parsed_notes, parsed_sketch = read_score_file(text)
-    assert parsed_notes == notes
-    assert parsed_sketch == demo.sketch
-    assert read_score_file("C4\nD4\n") == (("C4", "D4"), None)
 
 
 def test_env_score_matches_demo_notes():
