@@ -8,6 +8,7 @@ aliasing), which is what makes the search problem interesting.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 
@@ -144,12 +145,10 @@ def read_demo_file(text: str) -> tuple[Demonstration, int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty demonstration file")
-    header = lines[0].split()
-    try:
-        h = int(header[0].removeprefix("H="))
-        a = int(header[1].removeprefix("A="))
-    except (IndexError, ValueError) as e:
-        raise ValueError(f"bad header line: {lines[0]!r}") from e
+    header = re.fullmatch(r"H=(\d+)\s+A=(\d+)", lines[0].strip())
+    if header is None:
+        raise ValueError(f"bad header line (want H=<int> A=<int>): {lines[0]!r}")
+    h, a = int(header[1]), int(header[2])
     if a < 1:
         raise ValueError(f"bad header line (need A >= 1): {lines[0]!r}")
     sketch = None

@@ -130,7 +130,8 @@ _SWEEP_OPTIONS = {f.name: f for f in fields(RunConfig) if f.name not in (*_AXES,
 def parse_sweep_spec(text: str) -> list[RunConfig]:
     """Blocks of key=value lines (blank-line separated); each block expands
     to the cross product of its envs x agents x seeds. The other keys are
-    RunConfig fields; a bad key or value is a ConfigError quoting its line."""
+    RunConfig fields; a bad or repeated key or a bad value is a ConfigError
+    quoting its line."""
     configs: list[RunConfig] = []
     lines = [raw.strip() for raw in text.splitlines()]
     for blank, block in groupby(lines, key=lambda line: not line):
@@ -139,11 +140,16 @@ def parse_sweep_spec(text: str) -> list[RunConfig]:
             continue
         grid = {"seed": [0]}
         extra = {}
+        given = {}  # key (axes singular) -> the line that set it
         for line in block:
             if "=" not in line:
                 raise ConfigError(f"bad sweep line (want key=value): {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             axis = key.removesuffix("s")
+            name = axis if axis in _AXES else key
+            if name in given:
+                raise ConfigError(f"bad sweep line {line!r}: repeats {given[name]!r}")
+            given[name] = line
             try:
                 if axis == "seed":
                     grid[axis] = _parse_seeds(value)

@@ -26,14 +26,11 @@ def count_occurrences(hay: bytes, needle: bytes) -> int:
 class RepeatStore:
     """Repeated-subsequence candidates with occurrence counts."""
 
-    def __init__(self, min_len: int = 2, max_candidates: int | None = None):
+    def __init__(self, min_len: int = 2):
         if min_len < 1:
             raise ValueError("min_len must be >= 1")
         self.min_len = min_len
-        self.max_candidates = max_candidates
         self.counts: dict[bytes, int] = {}
-        self._touch: dict[bytes, int] = {}  # last update tick, for eviction
-        self._tick = 0
 
     def update(self, plan_bytes: bytes) -> None:
         """Count every plan suffix (length >= min_len) that repeats.
@@ -41,7 +38,6 @@ class RepeatStore:
         Counts are weakly decreasing in suffix length, so the scan stops at
         the first suffix that no longer occurs twice.
         """
-        self._tick += 1
         t = len(plan_bytes)
         for ln in range(self.min_len, t + 1):
             seq = plan_bytes[t - ln:]
@@ -49,16 +45,9 @@ class RepeatStore:
             if c < 2:
                 break
             self.counts[seq] = c
-            self._touch[seq] = self._tick
-        if self.max_candidates is not None and len(self.counts) > self.max_candidates:
-            stale = sorted(self.counts, key=lambda s: (self._touch[s], self.counts[s]))
-            for seq in stale[: len(self.counts) - self.max_candidates]:
-                del self.counts[seq]
-                del self._touch[seq]
 
     def rebuild(self, plan_bytes: bytes) -> None:
         self.counts.clear()
-        self._touch.clear()
         for t in range(1, len(plan_bytes) + 1):
             self.update(plan_bytes[:t])
 
@@ -85,8 +74,8 @@ class RepeatStore:
 class RepeatPoolSuggester(ActionSuggester):
     """Sketch-free agent: bias exploration toward repeated subsequences."""
 
-    def __init__(self, min_repeat_len: int = 2, max_candidates: int | None = None):
-        self.store = RepeatStore(min_repeat_len, max_candidates)
+    def __init__(self, min_repeat_len: int = 2):
+        self.store = RepeatStore(min_repeat_len)
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
         for a in self.store.suggest_ranked(bytes(plan.confirmed)):

@@ -29,18 +29,28 @@ one of the N1 tracked slots: it cannot be contradicted, it regenerates
 candidates, and it guarantees the agent degenerates to plain backtracking
 search when no structure matches (with N1=1 the agent tracks nothing but
 the blank and runs on optimism alone). The remaining slots go to the best
-scorers; everything else is frozen verbatim and revalidated only if thawed.
-Only tracked hypotheses are updated, branch, and suggest, so a small active
-set genuinely loses information: hypotheses frozen out miss their branching
-windows. A hypothesis whose suggestion misses merely becomes ineligible at
-that position (the action lands in the frontier's failed set); it is
-eliminated only when a confirmed action contradicts its alignment.
+scorers; everything else is frozen: stored, up to a memory cap, and never
+revived. Only tracked hypotheses are updated, branch, and suggest, so a
+small active set genuinely loses information: hypotheses frozen out miss
+their branching windows. A hypothesis whose suggestion misses merely
+becomes ineligible at that position (the action lands in the frontier's
+failed set); it is eliminated only when a confirmed action contradicts its
+alignment.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .core import Action, Sketch
 from .search import ActionSuggester, PartialPlan
+
+
+@cache
+def _repeats(sketch: tuple[str, ...]) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Each repeated label, in sketch order, with its element indices."""
+    return tuple((lbl, tuple(j for j, x in enumerate(sketch) if x == lbl))
+                 for lbl in Sketch(sketch).repeated_labels())
 
 
 class Hypothesis:
@@ -135,16 +145,6 @@ class Hypothesis:
 
     # -- structural helpers ----------------------------------------------------
 
-    def main_label(self) -> str | None:
-        """First repeated sketch label without an assignment, in sketch order."""
-        counts: dict[str, int] = {}
-        for lbl in self.sketch:
-            counts[lbl] = counts.get(lbl, 0) + 1
-        for lbl in self.sketch:
-            if counts[lbl] >= 2 and lbl not in self.assigned:
-                return lbl
-        return None
-
     def _min_span(self, lo: int, hi: int) -> int:
         """Minimum plan positions elements lo..hi-1 can occupy."""
         total = 0
@@ -153,38 +153,56 @@ class Hypothesis:
             total += len(self.assigned[lbl]) if lbl in self.assigned else 1
         return total
 
-    def _main_occurrences(self):
-        """Main label plus its first occurrence and the occurrence that could
-        be repeating now (the first one at or after the open run)."""
-        m = self.main_label()
-        if m is None or self.run_elem is None:
+    def _repeat_site(self):
+        """Where the main label m's first occurrence j1 could lie if its
+        occurrence `rep` at or after the open run is repeating now:
+        (m, j1, rep, lo, cap, hi_base, mid_min, lo_rep), or None. j1 starts
+        at `lo` or later and, with content length ln <= `cap`, at
+        `hi_base - ln` or earlier (None: unconstrained); the elements between
+        the occurrences take `mid_min` positions or more; `rep` starts at
+        `lo_rep` or later."""
+        run_elem = self.run_elem
+        if run_elem is None:
             return None
-        occ = [j for j, lbl in enumerate(self.sketch) if lbl == m]
+        for m, occ in _repeats(self.sketch):  # m: first one unassigned
+            if m not in self.assigned:
+                break
+        else:
+            return None
         j1 = occ[0]
-        rep = next((j for j in occ if j >= self.run_elem and j > j1), None)
+        rep = next((j for j in occ if j >= run_elem and j > j1), None)
         if rep is None:
             return None
-        return m, j1, rep
+        if j1 >= run_elem:
+            lo = self.run_pos0 + self._min_span(run_elem, j1)
+            cap, hi_base = self.consumed, None
+        else:
+            for elem_lo, elem_hi, pos_lo, pos_end in self.layout:
+                if elem_lo <= j1 <= elem_hi:
+                    break
+            else:
+                return None
+            if elem_lo == elem_hi:
+                return None
+            lo = pos_lo + self._min_span(elem_lo, j1)
+            hi_base = pos_end - self._min_span(j1 + 1, elem_hi + 1)
+            cap = hi_base - lo
+        return (m, j1, rep, lo, cap, hi_base, self._min_span(j1 + 1, rep),
+                self.run_pos0 + self._min_span(run_elem, rep))
 
-    def _first_occurrence_site(self, j1: int):
-        """Where the main label's first occurrence could start.
-
-        Returns (lo, cap, hi_base): the earliest start position, the largest
-        content length the enclosing structure admits, and the base for the
-        per-length latest start (latest start = hi_base - length; None means
-        unconstrained). A pinned element returns None.
-        """
-        if self.run_elem is not None and j1 >= self.run_elem:
-            lo = self.run_pos0 + self._min_span(self.run_elem, j1)
-            return lo, self.consumed, None
-        for elem_lo, elem_hi, pos_lo, pos_end in self.layout:
-            if elem_lo <= j1 <= elem_hi:
-                if elem_lo == elem_hi:
-                    return None
-                lo = pos_lo + self._min_span(elem_lo, j1)
-                hi_base = pos_end - self._min_span(j1 + 1, elem_hi + 1)
-                return lo, hi_base - lo, hi_base
-        return None
+    def _first_window(self, site, s2: int, ln: int):
+        """(lo, hi): where a first occurrence of length `ln`, repeated from
+        `s2`, can start inside its run or region (None: nowhere); one that
+        opens the run starts where the run does."""
+        _, j1, _, lo, _, hi_base, mid_min, _ = site
+        hi = s2 - mid_min - ln
+        if hi_base is not None and hi_base - ln < hi:
+            hi = hi_base - ln
+        if hi < lo:
+            return None
+        if j1 == self.run_elem:
+            hi = lo
+        return lo, hi
 
     # -- suggestion -----------------------------------------------------------
 
@@ -194,17 +212,11 @@ class Hypothesis:
         alignment allows and is repeating right now. Returns the continuation
         action, the assumed content length, and the repeat's element index.
         """
-        found = self._main_occurrences()
-        if found is None:
-            return None
-        m, j1, rep = found
-        t = self.consumed
-        site = self._first_occurrence_site(j1)
+        site = self._repeat_site()
         if site is None:
             return None
-        lo1, cap, hi_base = site
-        mid_min = self._min_span(j1 + 1, rep)
-        lo_rep = self.run_pos0 + self._min_span(self.run_elem, rep)
+        _, _, rep, _, cap, _, mid_min, lo_rep = site
+        t = self.consumed
         r_hi = t - lo_rep
         if r_hi >= cap:
             # a region-buried first occurrence is only reasoned about while
@@ -212,21 +224,12 @@ class Hypothesis:
             return None
         for r in range(r_hi, 0, -1):
             s2 = t - r
-            p_cap = s2 - mid_min - (r + 1)
-            if hi_base is not None:
-                p_cap = min(p_cap, hi_base - (r + 1))
-            if p_cap < lo1:
+            window = self._first_window(site, s2, r + 1)
+            if window is None:
                 continue
-            suffix = pb[t - r:t]
-            if j1 == self.run_elem:
-                p = self.run_pos0
-                if p > p_cap or pb[p:p + r] != suffix:
-                    continue
-            else:
-                p = pb.find(suffix, lo1, p_cap + r)
-                if p == -1:
-                    continue
-            return pb[p + r], s2 - mid_min - p, rep
+            p = pb.find(pb[s2:t], window[0], window[1] + r)
+            if p != -1:
+                return pb[p + r], s2 - mid_min - p, rep
         return None
 
     def proposal(self, pb: bytes, optimistic: bool = True):
@@ -259,8 +262,8 @@ class Hypothesis:
     # -- consistency ----------------------------------------------------------
 
     def is_consistent(self, plan_actions) -> bool:
-        """Replay the alignment against the plan (used when thawing frozen
-        hypotheses and in tests; active ones stay consistent incrementally)."""
+        """Replay the alignment against the plan: a test oracle, since the
+        pool keeps its active hypotheses consistent incrementally."""
         if self.consumed > len(plan_actions):
             return False
         for elem_lo, elem_hi, pos_lo, pos_end in self.layout:
@@ -286,19 +289,21 @@ class SketchPool:
     """Active/frozen hypothesis bookkeeping for one learning run."""
 
     def __init__(self, sketch: Sketch, horizon: int, n_active: int = 4,
-                 optimistic: bool = True, mem_coeff: int = 4):
+                 optimistic: bool = True):
         if n_active < 1:
             raise ValueError("need at least one active hypothesis slot")
         self.sketch = tuple(sketch.elements)
         self.horizon = horizon
         self.n_active = n_active
         self.optimistic = optimistic
-        self.mem_cap = max(16, mem_coeff * horizon * horizon)
+        self.mem_cap = max(16, 4 * horizon * horizon)
         self.branch_cap = max(1, horizon // 2)
         self.blank = Hypothesis.blank(self.sketch)
         self.active: list[Hypothesis] = [self.blank]
         self.frozen: list[Hypothesis] = []
-        self.seen: set = {self.blank.key()}
+        # keys adopted by the latest confirmation; older keys cannot recur,
+        # since a child adopted at plan length t has consumed == t
+        self.seen: set = set()
         self._created = 0
         self.max_branch_per_parent = 0  # high-water mark, for property tests
 
@@ -362,22 +367,14 @@ class SketchPool:
         that every candidate content fits the region (same recency gate as
         the optimistic rule).
         """
-        if parent.run_elem is None:
-            return []
-        found = parent._main_occurrences()
-        if found is None:
-            return []
-        m, j1, rep = found
-        t = parent.consumed
-        site = parent._first_occurrence_site(j1)
+        site = parent._repeat_site()
         if site is None:
             return []
-        lo1, cap, hi_base = site
+        m, j1, rep, _, cap, _, _, lo_rep = site
+        t = parent.consumed
         longest = (t - parent.run_pos0) // 2
         if longest > cap:
             return []
-        mid_min = parent._min_span(j1 + 1, rep)
-        lo_rep = parent.run_pos0 + parent._min_span(parent.run_elem, rep)
         children: list[Hypothesis] = []
         # longest candidate content first: most informative, most falsifiable
         for ln in range(longest, 0, -1):
@@ -386,37 +383,24 @@ class SketchPool:
             s2 = t - ln
             if s2 < lo_rep:
                 continue
-            content = pb[s2:t]
-            p_cap = s2 - mid_min - ln
-            if hi_base is not None:
-                p_cap = min(p_cap, hi_base - ln)
-            if p_cap < lo1:
+            window = parent._first_window(site, s2, ln)
+            if window is None:
                 continue
-            if j1 == parent.run_elem:
-                ps = [parent.run_pos0] if (parent.run_pos0 <= p_cap
-                                           and pb[parent.run_pos0:parent.run_pos0 + ln] == content) else []
-            else:
-                ps = []
-                p = pb.find(content, lo1, p_cap + ln)
-                while p != -1:
-                    ps.append(p)
-                    p = pb.find(content, p + 1, p_cap + ln)
-            for p in ps:
+            content = pb[s2:t]
+            end = window[1] + ln
+            p = pb.find(content, window[0], end)
+            while p != -1:
                 child = self._make_branch_child(parent, pb, m, j1, rep, p, ln, s2)
                 if child is not None:
                     children.append(child)
                     if len(children) >= self.branch_cap:
                         break
+                p = pb.find(content, p + 1, end)
         return children
 
     def _make_branch_child(self, parent, pb, m, j1, rep, p, ln, s2):
         child = parent._shell()
-        content = tuple(pb[p:p + ln])
-        if pb[s2:s2 + ln] != pb[p:p + ln]:
-            return None
-        if m in child.assigned:
-            return None
-        child.assigned[m] = content
+        child.assigned[m] = tuple(pb[p:p + ln])
         if j1 >= parent.run_elem:
             # first occurrence sits in the open run: close everything from
             # the run start through the end of the repeat
@@ -431,8 +415,6 @@ class SketchPool:
             idx = next(i for i, (lo, hi, _, _) in enumerate(child.layout)
                        if lo <= j1 <= hi)
             elem_lo, elem_hi, pos_lo, pos_end = child.layout.pop(idx)
-            if not (pos_lo <= p and p + ln <= pos_end):
-                return None
             if not self._close_region(child, pb, elem_lo, j1 - 1, pos_lo, p):
                 return None
             child.layout.append((j1, j1, p, p + ln))
@@ -466,14 +448,14 @@ class SketchPool:
                                   parent.run_pos0, pos):
             return []
         child._enter(j_next, pos)
-        if not child.advance(a):
-            return []
+        child.advance(a)  # a is the first action of j_next's assignment
         child = self._adopt(child)
         return [child] if child is not None else []
 
     # -- plan-event hooks -------------------------------------------------------
 
     def on_confirmed(self, actions: list[Action]) -> None:
+        self.seen = set()
         a = actions[-1]
         pb = bytes(actions)
         kids: list[Hypothesis] = []
@@ -494,57 +476,14 @@ class SketchPool:
             self.frozen.sort(key=rank)
             del self.frozen[self.mem_cap - len(self.active):]
 
-    def prune_and_refreeze(self, actions) -> None:
-        """Drop active hypotheses that contradict the confirmed plan, re-rank,
-        and top the active set up from frozen when it has emptied."""
-        pb = bytes(actions)
-        self.active = [h for h in self.active if h.is_consistent(actions)]
-        self.active.sort(key=self._rank_key(pb))
-        if not self.active:
-            self.thaw(actions)
-
-    def thaw(self, actions) -> None:
-        """Re-activate the best frozen hypotheses that still fit the plan.
-
-        A frozen hypothesis missed the plan growth since it was frozen, so it
-        must replay those confirmations; any contradiction eliminates it."""
-        self.frozen.sort(key=self._rank_key(bytes(actions)))
-        still_frozen = []
-        for h in self.frozen:
-            if len(self.active) >= self.n_active:
-                still_frozen.append(h)
-                continue
-            if not h.is_consistent(actions):
-                continue
-            ok = True
-            for a in actions[h.consumed:]:
-                if not h.advance(a):
-                    ok = False
-                    break
-            if ok:
-                self.active.append(h)
-        self.frozen = still_frozen
-
     def rebuild(self, actions) -> None:
-        """Reset to the blank hypothesis and re-ingest the surviving prefix.
-
-        Frozen hypotheses whose consumed prefix is inside the surviving plan
-        are kept verbatim: backtracking only removed actions beyond them, so
-        their alignments are untouched.
-        """
-        retained = [h for h in self.frozen + self.active
-                    if h is not self.blank
-                    and h.consumed <= len(actions) and h.is_consistent(actions)]
+        """Reset to the blank hypothesis and re-ingest the surviving prefix."""
         self.blank = Hypothesis.blank(self.sketch)
         self.active = [self.blank]
         self.frozen = []
-        self.seen = {self.blank.key()}
+        self.seen = set()
         for i in range(1, len(actions) + 1):
             self.on_confirmed(list(actions[:i]))
-        for h in retained:
-            if h.key() not in self.seen:
-                self.seen.add(h.key())
-                self.frozen.append(h)
 
     # -- selection ----------------------------------------------------------------
 

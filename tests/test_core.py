@@ -100,6 +100,10 @@ def test_demo_file_bad_inputs():
         read_demo_file("garbage\nz1\n")
     with pytest.raises(ValueError):
         read_demo_file("H=1 A=0\nz1\n")
+    # the header is exactly H=<int> A=<int>, quoted when it is not
+    for header in ("5 3", "H=1 A=2 junk"):
+        with pytest.raises(ValueError, match=repr(header)):
+            read_demo_file(f"{header}\nz1\n")
     with pytest.raises(ValueError):
         write_demo_file(Demonstration(("two words",)), 2)
     with pytest.raises(ValueError):

@@ -80,6 +80,11 @@ def test_parse_sweep_spec_rejects_garbage():
                  "n_hypotheses=x", "seeds=a", "seeds=3-1", "max_episodes=1.5"):
         with pytest.raises(ConfigError, match=repr(line)):
             parse_sweep_spec(f"envs=chain\nagents=bps\n{line}\n")
+    # a key repeated within a block is named, not silently overridden
+    for first, second in (("seeds=0-9", "seeds=3"), ("seed=1", "seeds=0-9"),
+                          ("n_hypotheses=2", "n_hypotheses=3")):
+        with pytest.raises(ConfigError, match=repr(second)):
+            parse_sweep_spec(f"envs=chain\nagents=bps\n{first}\n{second}\n")
 
 
 def test_run_agent_rejects_unknown_options():

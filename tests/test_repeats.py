@@ -65,13 +65,6 @@ def test_min_repeat_len_config():
     assert store2.counts[bytes((E, E))] == 2
 
 
-def test_max_candidates_evicts_stale_entries():
-    rng = random.Random(0)
-    plan = [rng.randrange(2) for _ in range(40)]
-    store = fed_store(plan, max_candidates=5)
-    assert len(store.counts) <= 5
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=64))
 def test_store_equals_brute_force_on_every_prefix(plan):

@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from procsearch.core import Demonstration, Sketch, record_demonstration
 from procsearch.envs.scripted import ScriptedEnv
@@ -101,6 +101,19 @@ def test_no_repeated_suffix_means_no_suggestion():
     assert blank.suggest(bytes(plan)) is None
 
 
+def test_first_occurrence_of_the_first_element_starts_the_plan():
+    # b1 opens the sketch, so its first occurrence starts at position 0
+    # (f); the later e cannot be it, and nothing repeats from the start
+    blank = Hypothesis.blank(("b1", "b2", "b1"))
+    plan = (F, E, G, H_ACT, E)
+    for a in plan:
+        blank.advance(a)
+    assert blank.suggest(bytes(plan)) is None
+    pool = SketchPool(Sketch(blank.sketch), horizon=10)
+    feed(pool, plan)
+    assert assignments(pool) == []
+
+
 def test_optimistic_toggle_off_returns_none():
     blank = Hypothesis.blank(("b1", "b2", "b1", "b3", "b1"))
     plan = (E, F, G, E)
@@ -150,7 +163,15 @@ def test_branch_count_bounded_by_half_horizon():
         sketch = Sketch(tuple(rng.choice(labels) for _ in range(rng.randrange(2, 8))))
         pool = SketchPool(sketch, horizon=horizon, n_active=4)
         plan = [rng.randrange(3) for _ in range(min(horizon, rng.randrange(2, 30)))]
-        feed(pool, plan)
+        # one confirmation adopts at most one split child per active
+        # hypothesis and branch_cap children per branching parent (the
+        # active set plus those split children)
+        seen_cap = pool.n_active + 2 * pool.n_active * pool.branch_cap
+        for t in range(1, len(plan) + 1):
+            pool.on_confirmed(plan[:t])
+            # `seen` holds only this confirmation's adoptions
+            assert all(key[-1] == t for key in pool.seen)
+            assert len(pool.seen) <= seen_cap
         assert pool.max_branch_per_parent <= horizon / 2
         assert pool.stored_count() <= 4 * horizon * horizon
 
@@ -197,29 +218,6 @@ def test_select_tie_break_more_assignments_then_age():
     assert pool.select([], excluded=set())[0] is c  # older wins the tie
 
 
-def test_prune_eliminates_contradicted_hypothesis():
-    sk = ("x", "y", "x")
-    h = Hypothesis(sk, {"x": (E,)}, [(0, 0, 0, 1)], 1)
-    h._enter(1, 1)
-    pool = SketchPool(Sketch(sk), horizon=6, n_active=2)
-    pool.active = [h]
-    pool.prune_and_refreeze([F, F])  # plan starts with f, contradicting x=(e)
-    assert h not in pool.active
-
-
-def test_thaw_reactivates_best_frozen():
-    pool = SketchPool(Sketch(("b1", "b2", "b1", "b3", "b1")), horizon=10, n_active=2)
-    plan = (E, F, G, E, F)
-    feed(pool, plan)
-    assert pool.frozen
-    pool.active = []
-    pool.thaw(list(plan))
-    assert pool.active
-    best = pool.active[0]
-    assert best.is_consistent(plan)
-    assert best.consumed == len(plan)
-
-
 def test_active_capacity_respected():
     pool = SketchPool(Sketch(("b1", "b2", "b1", "b3", "b1")), horizon=10, n_active=2)
     feed(pool, (E, F, G, E, F))
@@ -227,18 +225,6 @@ def test_active_capacity_respected():
     assert len(pool.active) == 2
     assert pool.blank in pool.active
     assert len(pool.frozen) == 1
-
-
-def test_rebuild_after_backtrack_retains_consistent_frozen():
-    pool = SketchPool(Sketch(("b1", "b2", "b1", "b3", "b1")), horizon=10, n_active=1)
-    plan = [E, F, G, E, F]
-    feed(pool, plan)
-    frozen_before = [h for h in pool.frozen if h.assigned]
-    assert frozen_before
-    pool.rebuild(plan[:4])
-    for h in pool.active + pool.frozen:
-        assert h.is_consistent(plan[:4])
-    assert pool.blank in pool.active
 
 
 def test_degenerates_to_plain_search_without_repeats():
@@ -287,3 +273,23 @@ def test_active_hypotheses_stay_consistent(data):
         assert h.is_consistent(plan)
         for elem, start, end in h.exact_segments():
             assert tuple(plan[start:end]) == h.assigned[sketch.elements[elem]]
+
+
+def pool_keys(pool):
+    return [h.key() for h in pool.active], [h.key() for h in pool.frozen]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(("b0", "b1", "b2", "b3")), min_size=1, max_size=6),
+       st.lists(st.integers(0, 2), min_size=1, max_size=14),
+       st.integers(0, 14), st.integers(1, 4))
+@example(["b0", "b0", "b0"], [1, 1, 1], 3, 2)  # frozen hypotheses to re-create
+def test_backtrack_rebuild_matches_fresh_pool(labels, plan, cut, n_active):
+    sketch = Sketch(tuple(labels))
+    pool = SketchPool(sketch, horizon=14, n_active=n_active)
+    feed(pool, plan)
+    pool.rebuild(tuple(plan[:cut]))
+    fresh = SketchPool(sketch, horizon=14, n_active=n_active)
+    feed(fresh, plan[:cut])
+    assert pool_keys(pool) == pool_keys(fresh)
+    assert pool.blank in pool.active
