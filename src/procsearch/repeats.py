@@ -3,8 +3,12 @@
 Hypothesized subtasks are simply action subsequences that occur at least
 twice in the confirmed plan. Only subsequences that end exactly at the end
 of the plan need to be (re)counted after each confirmation; anything else
-was already counted when it last matched the end. Suggestions follow the
-most-repeated candidates whose prefix matches the current plan suffix.
+was already counted when it last matched the end, so the counts stay exact
+overlapping counts. A backtrack takes back the occurrences that ended at
+the removed position. Suggestions follow the most-repeated candidates whose
+prefix matches the current plan suffix: the candidates form a prefix index
+(a trie), so a suggestion looks up the plan's suffixes in it and visits
+only the candidates that extend one.
 """
 
 from __future__ import annotations
@@ -24,51 +28,146 @@ def count_occurrences(hay: bytes, needle: bytes) -> int:
 
 
 class RepeatStore:
-    """Repeated-subsequence candidates with occurrence counts."""
+    """Repeated-subsequence candidates with occurrence counts, in a trie.
+
+    `kids` maps a string to the strings one action longer that extend it:
+    the candidates, and the prefixes shorter than `min_len` that lead to
+    them. Every prefix of a candidate long enough to be one repeats at least
+    as often, so it is a candidate too, and a count never rises from a node
+    to its kids.
+    """
 
     def __init__(self, min_len: int = 2):
         if min_len < 1:
             raise ValueError("min_len must be >= 1")
         self.min_len = min_len
         self.counts: dict[bytes, int] = {}
+        self.kids: dict[bytes, list[bytes]] = {}
+        self.longest = 0  # no candidate is longer (a high-water mark)
+        self.plan = b""  # the plan of the latest update
+
+    def _link(self, seq: bytes) -> None:
+        """Hang a new candidate under its parent, and link the short
+        prefixes that lead to it."""
+        kids = self.kids
+        if len(seq) > self.longest:
+            self.longest = len(seq)
+        while len(seq) > 1:
+            parent = seq[:-1]
+            sibs = kids.get(parent)
+            if sibs is not None:
+                sibs.append(seq)
+                return
+            kids[parent] = [seq]
+            if parent in self.counts:
+                return
+            seq = parent
+
+    def _unlink(self, seq: bytes) -> None:
+        """Take a leaving candidate off its parent, and the short prefixes
+        that led only to it."""
+        kids = self.kids
+        while len(seq) > 1:
+            parent = seq[:-1]
+            sibs = kids[parent]
+            sibs.remove(seq)
+            if sibs:
+                return
+            del kids[parent]
+            if parent in self.counts:
+                return
+            seq = parent
 
     def update(self, plan_bytes: bytes) -> None:
-        """Count every plan suffix (length >= min_len) that repeats.
+        """Count every plan suffix (length >= min_len) that repeats, where
+        `plan_bytes` is the latest plan plus one action.
 
-        Counts are weakly decreasing in suffix length, so the scan stops at
-        the first suffix that no longer occurs twice.
+        A counted suffix gains the occurrence that ends the plan; one not
+        counted yet occurred at most once before, so it repeats now exactly
+        when it occurs earlier. Counts are weakly decreasing in suffix
+        length, so the scan stops at the first suffix that does not repeat.
         """
+        counts = self.counts
         t = len(plan_bytes)
         for ln in range(self.min_len, t + 1):
             seq = plan_bytes[t - ln:]
-            c = count_occurrences(plan_bytes, seq)
-            if c < 2:
-                break
-            self.counts[seq] = c
+            c = counts.get(seq)
+            if c is None:
+                if plan_bytes.find(seq) == t - ln:
+                    break
+                c = 1
+                self._link(seq)
+            counts[seq] = c + 1
+        self.plan = plan_bytes
+
+    def truncate(self, n: int) -> None:
+        """Undo the updates past length `n` of the latest plan: each counted
+        suffix of the plan's first t > n actions loses the occurrence that
+        ends at t, and leaves the store when it no longer repeats. Nothing
+        in the store extends a leaving candidate: two occurrences of an
+        extension would hold two of it besides the one ending at t."""
+        counts, plan = self.counts, self.plan
+        for t in range(len(plan), n, -1):
+            for ln in range(self.min_len, t + 1):
+                seq = plan[t - ln:t]
+                c = counts.get(seq)
+                if c is None:
+                    break
+                if c > 2:
+                    counts[seq] = c - 1
+                else:
+                    del counts[seq]
+                    self._unlink(seq)
+        self.plan = plan[:n]
 
     def rebuild(self, plan_bytes: bytes) -> None:
+        """Count `plan_bytes` from scratch, one action at a time."""
         self.counts.clear()
+        self.kids.clear()
+        self.longest = 0
+        self.plan = b""
         for t in range(1, len(plan_bytes) + 1):
             self.update(plan_bytes[:t])
 
     def suggest_ranked(self, plan_bytes: bytes) -> list[Action]:
         """Next actions of candidates whose prefix matches the plan suffix,
-        best repeat count first; duplicates keep their best rank."""
-        scored = []
-        for seq, c in self.counts.items():
-            best_j = 0
-            for j in range(min(len(seq) - 1, len(plan_bytes)), 0, -1):
-                if plan_bytes.endswith(seq[:j]):
-                    best_j = j
-                    break
-            if best_j:
-                scored.append((-c, -len(seq), seq, seq[best_j]))
-        scored.sort()
-        out: list[Action] = []
-        for *_, a in scored:
-            if a not in out:
-                out.append(a)
-        return out
+        best repeat count first; duplicates keep their best rank.
+
+        A candidate continues from its longest prefix that is a plan suffix.
+        The suffixes are looked up longest first, and each one's subtree is
+        walked without entering a suffix already walked, so every candidate
+        is scored at its longest match. The key (-count, -length, candidate)
+        is unique per candidate, so the order does not depend on the walk's.
+        A node that repeats less than its action's best so far is not
+        entered: nothing below it repeats more.
+        """
+        kids, counts = self.kids, self.counts
+        t = len(plan_bytes)
+        walked: set[bytes] = set()
+        best: dict[Action, tuple] = {}
+        for j in range(min(self.longest - 1, t), 0, -1):
+            root = plan_bytes[t - j:]
+            stack = kids.get(root)
+            if stack is None:
+                continue
+            walked.add(root)
+            stack = stack[:]
+            while stack:
+                seq = stack.pop()
+                c = counts.get(seq)
+                if c is not None:
+                    key = (-c, -len(seq), seq)
+                    a = seq[j]
+                    old = best.get(a)
+                    if old is None or key < old:
+                        best[a] = key
+                    elif c < -old[0]:
+                        continue
+                if seq not in walked:
+                    below = kids.get(seq)
+                    if below is not None:
+                        stack += below
+        return sorted(best, key=best.__getitem__)
 
 
 class RepeatPoolSuggester(ActionSuggester):
@@ -87,7 +186,7 @@ class RepeatPoolSuggester(ActionSuggester):
         self.store.update(bytes(plan.confirmed))
 
     def on_backtrack(self, plan: PartialPlan, removed: Action, position: int) -> None:
-        self.store.rebuild(bytes(plan.confirmed))
+        self.store.truncate(position)
 
 
 def brute_force_repeat_counts(plan, min_len: int = 2) -> dict[bytes, int]:
@@ -101,4 +200,24 @@ def brute_force_repeat_counts(plan, min_len: int = 2) -> dict[bytes, int]:
                 c = count_occurrences(b, seq)
                 if c >= 2:
                     out[seq] = c
+    return out
+
+
+def brute_force_suggest_ranked(counts: dict[bytes, int], plan_bytes: bytes) -> list[Action]:
+    """Oracle for `RepeatStore.suggest_ranked`: a linear scan testing every
+    candidate's prefixes against the plan suffix, longest first."""
+    scored = []
+    for seq, c in counts.items():
+        best_j = 0
+        for j in range(min(len(seq) - 1, len(plan_bytes)), 0, -1):
+            if plan_bytes.endswith(seq[:j]):
+                best_j = j
+                break
+        if best_j:
+            scored.append((-c, -len(seq), seq, seq[best_j]))
+    scored.sort()
+    out: list[Action] = []
+    for *_, a in scored:
+        if a not in out:
+            out.append(a)
     return out

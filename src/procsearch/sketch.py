@@ -156,11 +156,11 @@ class Hypothesis:
     def _repeat_site(self):
         """Where the main label m's first occurrence j1 could lie if its
         occurrence `rep` at or after the open run is repeating now:
-        (m, j1, rep, lo, cap, hi_base, mid_min, lo_rep), or None. j1 starts
-        at `lo` or later and, with content length ln <= `cap`, at
+        (m, j1, rep, lo, cap, hi_base, mid_min, lo_rep, n_rep), or None. j1
+        starts at `lo` or later and, with content length ln <= `cap`, at
         `hi_base - ln` or earlier (None: unconstrained); the elements between
         the occurrences take `mid_min` positions or more; `rep` starts at
-        `lo_rep` or later."""
+        `lo_rep` or later; m occurs `n_rep` times from `rep` on."""
         run_elem = self.run_elem
         if run_elem is None:
             return None
@@ -170,9 +170,10 @@ class Hypothesis:
         else:
             return None
         j1 = occ[0]
-        rep = next((j for j in occ if j >= run_elem and j > j1), None)
-        if rep is None:
+        k = next((k for k in range(1, len(occ)) if occ[k] >= run_elem), None)
+        if k is None:
             return None
+        rep = occ[k]
         if j1 >= run_elem:
             lo = self.run_pos0 + self._min_span(run_elem, j1)
             cap, hi_base = self.consumed, None
@@ -188,13 +189,13 @@ class Hypothesis:
             hi_base = pos_end - self._min_span(j1 + 1, elem_hi + 1)
             cap = hi_base - lo
         return (m, j1, rep, lo, cap, hi_base, self._min_span(j1 + 1, rep),
-                self.run_pos0 + self._min_span(run_elem, rep))
+                self.run_pos0 + self._min_span(run_elem, rep), len(occ) - k)
 
     def _first_window(self, site, s2: int, ln: int):
         """(lo, hi): where a first occurrence of length `ln`, repeated from
         `s2`, can start inside its run or region (None: nowhere); one that
         opens the run starts where the run does."""
-        _, j1, _, lo, _, hi_base, mid_min, _ = site
+        _, j1, _, lo, _, hi_base, mid_min, _, _ = site
         hi = s2 - mid_min - ln
         if hi_base is not None and hi_base - ln < hi:
             hi = hi_base - ln
@@ -210,12 +211,13 @@ class Hypothesis:
         """In an open run, interpret the plan suffix as an in-progress repeat
         of the main label: its first occurrence started as long ago as the
         alignment allows and is repeating right now. Returns the continuation
-        action, the assumed content length, and the repeat's element index.
+        action, the assumed content length, and how many times the main
+        label occurs from the repeat on.
         """
         site = self._repeat_site()
         if site is None:
             return None
-        _, _, rep, _, cap, _, mid_min, lo_rep = site
+        _, _, _, _, cap, _, mid_min, lo_rep, n_rep = site
         t = self.consumed
         r_hi = t - lo_rep
         if r_hi >= cap:
@@ -229,7 +231,7 @@ class Hypothesis:
                 continue
             p = pb.find(pb[s2:t], window[0], window[1] + r)
             if p != -1:
-                return pb[p + r], s2 - mid_min - p, rep
+                return pb[p + r], s2 - mid_min - p, n_rep
         return None
 
     def proposal(self, pb: bytes, optimistic: bool = True):
@@ -249,10 +251,8 @@ class Hypothesis:
         claim = self.optimistic_claim(pb)
         if claim is None:
             return None
-        a, length, rep = claim
-        m = self.sketch[rep]
-        repeats = sum(1 for lbl in self.sketch[rep:] if lbl == m)
-        return a, self.score() + repeats * length
+        a, length, n_rep = claim
+        return a, self.score() + n_rep * length
 
     def suggest(self, pb: bytes, optimistic: bool = True) -> Action | None:
         """Next action according to this hypothesis, None if it has no claim."""
@@ -370,7 +370,7 @@ class SketchPool:
         site = parent._repeat_site()
         if site is None:
             return []
-        m, j1, rep, _, cap, _, _, lo_rep = site
+        m, j1, rep, _, cap, _, _, lo_rep, _ = site
         t = parent.consumed
         longest = (t - parent.run_pos0) // 2
         if longest > cap:

@@ -1,10 +1,12 @@
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from procsearch.core import record_demonstration
 from procsearch.envs.scripted import ScriptedEnv
-from procsearch.repeats import RepeatPoolSuggester, RepeatStore, brute_force_repeat_counts
+from procsearch.repeats import (RepeatPoolSuggester, RepeatStore, brute_force_repeat_counts,
+                                brute_force_suggest_ranked)
 from procsearch.search import UniformSuggester, learn
 
 E, F, G = 0, 1, 2
@@ -98,3 +100,50 @@ def test_backtrack_rebuild_matches_fresh_store():
     fresh = RepeatStore()
     fresh.rebuild(bytes(plan_actions))
     assert sug.store.counts == fresh.counts
+
+
+def test_equal_count_candidate_below_a_weaker_one_still_ranks():
+    # a pinned case where a longer candidate of the best count for its
+    # action lies below a node that only ties that count: the walk may skip
+    # only what repeats less
+    plan = (1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1)
+    store = fed_store(plan, min_len=3)
+    q = bytes((1, 0, 1))
+    assert store.suggest_ranked(q) == brute_force_suggest_ranked(store.counts, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_confirm_and_backtrack_match_the_oracles(data):
+    n_actions = data.draw(st.integers(2, 4), label="n_actions")
+    min_len = data.draw(st.sampled_from((2, 3)), label="min_len")
+    actions = st.integers(0, n_actions - 1)
+    # a repeated motif makes the periodic plans where candidates nest
+    motif = data.draw(st.lists(actions, min_size=1, max_size=5), label="motif")
+    # -2 confirms the motif, -1 backtracks one step, an action is confirmed
+    ops = data.draw(st.lists(st.integers(-2, n_actions - 1), min_size=8, max_size=40),
+                    label="ops")
+    queries = data.draw(st.lists(st.lists(actions, max_size=12).map(bytes), max_size=3),
+                        label="queries")
+    sug = RepeatPoolSuggester(min_repeat_len=min_len)
+    plan = SimpleNamespace(confirmed=[])
+
+    def check(extra=()):
+        store = sug.store
+        assert store.counts == brute_force_repeat_counts(plan.confirmed, min_len)
+        for q in [bytes(plan.confirmed), *queries, *extra]:
+            assert store.suggest_ranked(q) == brute_force_suggest_ranked(store.counts, q)
+
+    for op in ops:
+        if op == -1:
+            if plan.confirmed:
+                removed = plan.confirmed.pop()
+                sug.on_backtrack(plan, removed, len(plan.confirmed))
+                check()
+            continue
+        for a in motif if op == -2 else [op]:
+            if len(plan.confirmed) < 64:
+                plan.confirmed.append(a)
+                sug.on_confirmed(plan)
+                check()
+    check(bytes(plan.confirmed[:k]) for k in range(len(plan.confirmed)))

@@ -12,7 +12,7 @@ import pytest
 from procsearch.core import Demonstration, Sketch, record_demonstration
 from procsearch.envs.scripted import random_aliased_env
 from procsearch.repeats import RepeatPoolSuggester
-from procsearch.search import learn, replay_matches
+from procsearch.search import UniformSuggester, learn, replay_matches
 from procsearch.sketch import SketchPoolSuggester
 
 
@@ -23,20 +23,22 @@ def random_sketch(rng, horizon):
     return Sketch(tuple(rng.choice(labels) for _ in range(length)))
 
 
-@pytest.mark.parametrize("agent", ["sketch", "repeats"])
+@pytest.mark.parametrize("agent", ["sketch", "repeats", "bps"])
 def test_agents_sound_on_random_aliased_envs(agent):
-    rng = random.Random(99 if agent == "sketch" else 77)
+    rng = random.Random({"sketch": 99, "repeats": 77, "bps": 55}[agent])
     for i in range(40):
         n_actions = rng.choice((2, 3))
-        horizon = rng.randrange(3, 10)
+        horizon = rng.randrange(3, 41)
         env, script = random_aliased_env(rng, n_actions, horizon)
         base = record_demonstration(env, script)
         demo = Demonstration(base.observations, random_sketch(rng, horizon))
         if agent == "sketch":
             suggester = SketchPoolSuggester(demo.sketch, demo.horizon,
                                             n_active=rng.choice((1, 2, 4)))
-        else:
+        elif agent == "repeats":
             suggester = RepeatPoolSuggester(min_repeat_len=rng.choice((2, 3)))
+        else:
+            suggester = UniformSuggester()
         rep = learn(env, demo, suggester, random.Random(i), budget=300000)
         assert rep.complete, f"instance {i} did not terminate"
         assert replay_matches(env, demo, rep.plan), f"instance {i} unsound"
