@@ -22,8 +22,6 @@ class AgentOptions:
 
     n_hypotheses: int = 4  # N1: tracked sketch hypotheses, the blank one included
     optimistic: bool = True  # the optimistic rule answers in open runs
-    early_reset: bool = False  # end an episode at its first failure instead of burning out
-    min_repeat_len: int = 2  # shortest mined repeat
 
 
 def _bps(task, demo, opts):
@@ -38,7 +36,7 @@ def _plots_sketch(task, demo, opts):
 
 
 def _plots_nosketch(task, demo, opts):
-    return RepeatPoolSuggester(min_repeat_len=opts.min_repeat_len)
+    return RepeatPoolSuggester()
 
 
 def _bpsosa(task, demo, opts):
@@ -75,7 +73,7 @@ def run_agent(name: str, task: Task, demo: Demonstration, seed: int,
     if name in SUGGESTER_REGISTRY:
         suggester = SUGGESTER_REGISTRY[name](task, demo, opts)
         rng = random.Random(seed)
-        return learn(env, demo, suggester, rng, budget, early_reset=opts.early_reset)
+        return learn(env, demo, suggester, rng, budget)
     if name in MODEL_REGISTRY:
         return MODEL_REGISTRY[name](env, demo, budget)
     raise ConfigError(f"unknown agent {name!r}; known: {sorted(AGENT_NAMES)}")

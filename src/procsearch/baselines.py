@@ -147,29 +147,36 @@ def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
         trans = np.full((table.n, n_act), _UNKNOWN, dtype=np.int64)
         values = None  # stale until the next choice after the model grows
 
+        def q_of(rows, expect):
+            """q(v_next, t): the action values of the token rows `rows` of
+            `trans`, expecting `expect`, at position t. An unknown action is
+            worth every remaining step; a known one, a match plus the value
+            of the token it reaches (none off the vocabulary)."""
+            known = rows != _UNKNOWN
+            nxt = np.clip(rows, 0, None)        # TERM/unknown clipped; masked below
+            on_vocab = rows >= 0
+            reward = (rows == expect).astype(float)
+
+            def q(v_next, t):
+                cont = np.where(on_vocab, v_next[nxt], 0.0)
+                return np.where(known, reward + cont, float(horizon - t))
+            return q
+
         def replan():
             v = np.zeros((horizon + 1, table.n))
-            known = trans != _UNKNOWN
-            nxt = np.clip(trans, 0, None)       # TERM/unknown clipped; masked below
-            on_vocab = trans >= 0
-            reward = (trans == table.expect[:, None]).astype(float)
+            q = q_of(trans, table.expect[:, None])
             for t in range(horizon - 1, -1, -1):
-                cont = np.where(on_vocab, v[t + 1][nxt], 0.0)
-                q = np.where(known, reward + cont, float(horizon - t))
-                v[t] = q.max(axis=1)
+                v[t] = q(v[t + 1], t).max(axis=1)
             return v
 
         def choose(s: int, t: int) -> int:
             nonlocal values
             if values is None:
                 values = replan()
-            row_known = trans[s] != _UNKNOWN
-            reward = (trans[s] == table.expect[s]).astype(float)
-            cont = np.where(trans[s] >= 0, values[t + 1][np.clip(trans[s], 0, None)], 0.0)
-            q = np.where(row_known, reward + cont, float(horizon - t))
+            q = q_of(trans[s], table.expect[s])(values[t + 1], t)
             best = q.max()
             tied = np.flatnonzero(q >= best - 1e-12)
-            untried = [a for a in tied if not row_known[a]]
+            untried = [a for a in tied if trans[s, a] == _UNKNOWN]
             return int(untried[0] if untried else tied[0])
 
         def observe(s: int, a: int, z: int) -> None:

@@ -24,14 +24,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("run", help="one seeded learning run")
-    # one flag per RunConfig field, required ones first; a bool flag flips
-    # the field's default
+    # one flag per RunConfig field, required ones first; a bool field
+    # defaults to true and is switched off by --no-<name>
     for f in sorted(fields(RunConfig), key=lambda f: f.default is not MISSING):
         name = f.name.replace("_", "-")
         kind = field_type(f)
         if kind is bool:
-            pr.add_argument(f"--no-{name}" if f.default else f"--{name}", dest=f.name,
-                            action="store_false" if f.default else "store_true")
+            pr.add_argument(f"--no-{name}", dest=f.name, action="store_false")
         else:
             pr.add_argument(f"--{name}", dest=f.name, type=kind, required=f.default is MISSING,
                             default=f.default, help=f.metadata.get("help"))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..core import Task
 from .scripted import ScriptedEnv, AutomatonEnv, make_chain, make_markov_scripted
-from .craft import GridCraftEnv, load_grid_map, make_island_task, make_gem_task
+from .craft import GridCraftEnv, make_island_task, make_gem_task
 from .cpr import CprEnv, make_cpr_task
 from .piano import PianoEnv, make_piano_task
 
@@ -40,6 +40,6 @@ def make_task(name: str) -> Task:
 __all__ = [
     "ENV_REGISTRY", "make_task",
     "ScriptedEnv", "AutomatonEnv", "GridCraftEnv", "CprEnv", "PianoEnv",
-    "load_grid_map", "make_island_task", "make_gem_task", "make_cpr_task",
+    "make_island_task", "make_gem_task", "make_cpr_task",
     "make_piano_task", "make_chain", "make_markov_scripted",
 ]

@@ -128,10 +128,6 @@ class GridCraftEnv(Env):
         return f"{self.pos[0]},{self.pos[1]}|{inv}|{rows}"
 
 
-def load_grid_map(text: str) -> GridCraftEnv:
-    return GridCraftEnv(text)
-
-
 ISLAND_MAP = """\
 ...KK...####..
 ........####..

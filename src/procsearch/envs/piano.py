@@ -35,10 +35,9 @@ class PianoEnv(Env):
     n_actions = 9
     action_names = ACTION_NAMES
 
-    def __init__(self, start_wrist: int = 10, score=None):
+    def __init__(self, start_wrist: int = 10):
         super().__init__()
         self.start_wrist = start_wrist
-        self.score = tuple(score) if score else ()
         self.wrist = start_wrist
         self.thumb = 0
 
@@ -89,20 +88,13 @@ def piano_segments():
 def make_piano_task() -> Task:
     segments = piano_segments()
     solution = tuple(a for _, seg in segments for a in seg)
-    score = _score_of(solution)
     return Task(
         name="piano",
-        make_env=lambda: PianoEnv(score=score),
+        make_env=PianoEnv,
         solution=solution,
         sketch=Sketch(tuple(PIECE)),
         alignment=spans_from_lengths(len(seg) for _, seg in segments),
     )
-
-
-def _score_of(solution) -> tuple[str, ...]:
-    env = PianoEnv()
-    env.reset()
-    return tuple(tok for tok in (env.step(a) for a in solution) if tok != SILENCE)
 
 
 def notes_only_view(demo: Demonstration) -> Demonstration:

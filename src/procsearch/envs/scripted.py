@@ -1,12 +1,11 @@
 """Scripted test environments: Markov chains and aliased automata.
 
 ScriptedEnv realizes the minimal deterministic environment: one true action
-sequence, one fresh token per on-script prefix, and an absorbing "OFF" sink
-once the agent deviates. With an `aliasing_map` some tokens can be merged,
-which removes the Markov property without changing the dynamics.
+sequence, one token per on-script prefix (a fresh one unless given), and an
+absorbing "OFF" sink once the agent deviates.
 
 AutomatonEnv is an explicit deterministic finite automaton over latent
-states. It can express richer aliasing traps than token merging: a wrong
+states. It can express richer aliasing traps than repeated tokens: a wrong
 action may emit the demonstrated token while moving to a latent state from
 which the rest of the demonstration is unreachable.
 """
@@ -21,8 +20,7 @@ OFF_TOKEN = intern_token("OFF")
 
 
 class ScriptedEnv(Env):
-    def __init__(self, n_actions: int, script, tokens=None, start_token: str = "S0",
-                 aliasing_map: dict[str, str] | None = None):
+    def __init__(self, n_actions: int, script, tokens=None, start_token: str = "S0"):
         super().__init__()
         self.n_actions = n_actions
         self.script = tuple(script)
@@ -32,9 +30,8 @@ class ScriptedEnv(Env):
             tokens = [f"z{i + 1}" for i in range(len(self.script))]
         if len(tokens) != len(self.script):
             raise ValueError("need one token per script position")
-        alias = aliasing_map or {}
-        self.tokens = tuple(intern_token(alias.get(t, t)) for t in tokens)
-        self.start_token = intern_token(alias.get(start_token, start_token))
+        self.tokens = tuple(intern_token(t) for t in tokens)
+        self.start_token = intern_token(start_token)
         self._i = 0
         self._on_script = True
 

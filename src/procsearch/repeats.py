@@ -1,14 +1,14 @@
 """Repeat mining for sketch-free exploration.
 
-Hypothesized subtasks are simply action subsequences that occur at least
-twice in the confirmed plan. Only subsequences that end exactly at the end
-of the plan need to be (re)counted after each confirmation; anything else
-was already counted when it last matched the end, so the counts stay exact
-overlapping counts. A backtrack takes back the occurrences that ended at
-the removed position. Suggestions follow the most-repeated candidates whose
-prefix matches the current plan suffix: the candidates form a prefix index
-(a trie), so a suggestion looks up the plan's suffixes in it and visits
-only the candidates that extend one.
+Hypothesized subtasks are simply action subsequences of length two or more
+that occur at least twice in the confirmed plan. Only subsequences that end
+exactly at the end of the plan need to be (re)counted after each
+confirmation; anything else was already counted when it last matched the
+end, so the counts stay exact overlapping counts. A backtrack takes back
+the occurrences that ended at the removed position. Suggestions follow the
+most-repeated candidates whose prefix matches the current plan suffix: the
+candidates form a prefix index (a trie), so a suggestion looks up the
+plan's suffixes in it and visits only the candidates that extend one.
 """
 
 from __future__ import annotations
@@ -30,56 +30,21 @@ def count_occurrences(hay: bytes, needle: bytes) -> int:
 class RepeatStore:
     """Repeated-subsequence candidates with occurrence counts, in a trie.
 
-    `kids` maps a string to the strings one action longer that extend it:
-    the candidates, and the prefixes shorter than `min_len` that lead to
-    them. Every prefix of a candidate long enough to be one repeats at least
-    as often, so it is a candidate too, and a count never rises from a node
-    to its kids.
+    `kids` maps a candidate, or a single action (the prefix of a candidate
+    of length two), to the candidates one action longer that extend it.
+    Every prefix of a candidate of length two or more repeats at least as
+    often, so it is a candidate too, and a count never rises from a node to
+    its kids.
     """
 
-    def __init__(self, min_len: int = 2):
-        if min_len < 1:
-            raise ValueError("min_len must be >= 1")
-        self.min_len = min_len
+    def __init__(self):
         self.counts: dict[bytes, int] = {}
         self.kids: dict[bytes, list[bytes]] = {}
         self.longest = 0  # no candidate is longer (a high-water mark)
         self.plan = b""  # the plan of the latest update
 
-    def _link(self, seq: bytes) -> None:
-        """Hang a new candidate under its parent, and link the short
-        prefixes that lead to it."""
-        kids = self.kids
-        if len(seq) > self.longest:
-            self.longest = len(seq)
-        while len(seq) > 1:
-            parent = seq[:-1]
-            sibs = kids.get(parent)
-            if sibs is not None:
-                sibs.append(seq)
-                return
-            kids[parent] = [seq]
-            if parent in self.counts:
-                return
-            seq = parent
-
-    def _unlink(self, seq: bytes) -> None:
-        """Take a leaving candidate off its parent, and the short prefixes
-        that led only to it."""
-        kids = self.kids
-        while len(seq) > 1:
-            parent = seq[:-1]
-            sibs = kids[parent]
-            sibs.remove(seq)
-            if sibs:
-                return
-            del kids[parent]
-            if parent in self.counts:
-                return
-            seq = parent
-
     def update(self, plan_bytes: bytes) -> None:
-        """Count every plan suffix (length >= min_len) that repeats, where
+        """Count every plan suffix of length two or more that repeats, where
         `plan_bytes` is the latest plan plus one action.
 
         A counted suffix gains the occurrence that ends the plan; one not
@@ -89,14 +54,15 @@ class RepeatStore:
         """
         counts = self.counts
         t = len(plan_bytes)
-        for ln in range(self.min_len, t + 1):
+        for ln in range(2, t + 1):
             seq = plan_bytes[t - ln:]
             c = counts.get(seq)
             if c is None:
                 if plan_bytes.find(seq) == t - ln:
                     break
                 c = 1
-                self._link(seq)
+                self.kids.setdefault(seq[:-1], []).append(seq)
+                self.longest = max(self.longest, ln)
             counts[seq] = c + 1
         self.plan = plan_bytes
 
@@ -106,9 +72,9 @@ class RepeatStore:
         ends at t, and leaves the store when it no longer repeats. Nothing
         in the store extends a leaving candidate: two occurrences of an
         extension would hold two of it besides the one ending at t."""
-        counts, plan = self.counts, self.plan
+        counts, kids, plan = self.counts, self.kids, self.plan
         for t in range(len(plan), n, -1):
-            for ln in range(self.min_len, t + 1):
+            for ln in range(2, t + 1):
                 seq = plan[t - ln:t]
                 c = counts.get(seq)
                 if c is None:
@@ -117,7 +83,10 @@ class RepeatStore:
                     counts[seq] = c - 1
                 else:
                     del counts[seq]
-                    self._unlink(seq)
+                    sibs = kids[seq[:-1]]
+                    sibs.remove(seq)
+                    if not sibs:
+                        del kids[seq[:-1]]
         self.plan = plan[:n]
 
     def rebuild(self, plan_bytes: bytes) -> None:
@@ -154,15 +123,14 @@ class RepeatStore:
             stack = stack[:]
             while stack:
                 seq = stack.pop()
-                c = counts.get(seq)
-                if c is not None:
-                    key = (-c, -len(seq), seq)
-                    a = seq[j]
-                    old = best.get(a)
-                    if old is None or key < old:
-                        best[a] = key
-                    elif c < -old[0]:
-                        continue
+                c = counts[seq]
+                key = (-c, -len(seq), seq)
+                a = seq[j]
+                old = best.get(a)
+                if old is None or key < old:
+                    best[a] = key
+                elif c < -old[0]:
+                    continue
                 if seq not in walked:
                     below = kids.get(seq)
                     if below is not None:
@@ -173,8 +141,8 @@ class RepeatStore:
 class RepeatPoolSuggester(ActionSuggester):
     """Sketch-free agent: bias exploration toward repeated subsequences."""
 
-    def __init__(self, min_repeat_len: int = 2):
-        self.store = RepeatStore(min_repeat_len)
+    def __init__(self):
+        self.store = RepeatStore()
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
         for a in self.store.suggest_ranked(bytes(plan.confirmed)):
@@ -189,12 +157,12 @@ class RepeatPoolSuggester(ActionSuggester):
         self.store.truncate(position)
 
 
-def brute_force_repeat_counts(plan, min_len: int = 2) -> dict[bytes, int]:
-    """Oracle: count every substring of length >= min_len occurring twice."""
+def brute_force_repeat_counts(plan) -> dict[bytes, int]:
+    """Oracle: count every substring of length two or more occurring twice."""
     b = bytes(plan)
     out: dict[bytes, int] = {}
     for i in range(len(b)):
-        for j in range(i + min_len, len(b) + 1):
+        for j in range(i + 2, len(b) + 1):
             seq = b[i:j]
             if seq not in out:
                 c = count_occurrences(b, seq)

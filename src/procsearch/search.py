@@ -112,12 +112,12 @@ class UniformSuggester(ActionSuggester):
 
 
 def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
-                suggester: ActionSuggester, rng: random.Random,
-                early_reset: bool = False) -> EpisodeResult:
-    """One environment episode of at most H steps.
+                suggester: ActionSuggester, rng: random.Random) -> EpisodeResult:
+    """One environment episode of H steps.
 
     Replays the confirmed prefix, then works at the frontier until the first
-    mismatch (or completion). Signals a dead end without acting if the
+    mismatch, which burns out the rest of the episode with random actions
+    (or until completion). Signals a dead end without acting if the
     frontier has no candidate actions left.
     """
     horizon = demo.horizon
@@ -133,11 +133,8 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
     confirmed_any = False
     while plan.frontier < horizon:
         t = plan.frontier
+        # not exhausted: checked above, and each confirmation opens empty ledgers
         excluded = plan.excluded()
-        if len(excluded) >= plan.n_actions:
-            # can only happen mid-episode after a backtrack cleared deeper
-            # ledgers; treat like a fresh dead-end signal
-            return EpisodeResult(plan.frontier, steps, confirmed_any, dead_end=True)
         a = suggester.suggest(plan, excluded)
         if a is None or a in excluded:
             candidates = [x for x in range(plan.n_actions) if x not in excluded]
@@ -151,10 +148,9 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
         else:
             plan.reject(a)
             suggester.on_failed(plan, a)
-            if not early_reset:
-                while steps < horizon:
-                    env.step(rng.randrange(plan.n_actions))
-                    steps += 1
+            while steps < horizon:
+                env.step(rng.randrange(plan.n_actions))
+                steps += 1
             break
     return EpisodeResult(plan.frontier, steps, confirmed_any, dead_end=False)
 
@@ -178,7 +174,7 @@ def backtrack(plan: PartialPlan, suggester: ActionSuggester) -> None:
 
 
 def learn(env: Env, demo: Demonstration, suggester: ActionSuggester,
-          rng: random.Random, budget: int, early_reset: bool = False) -> LearnReport:
+          rng: random.Random, budget: int) -> LearnReport:
     """Run episodes (and backtracks) until the full plan is found or the
     episode budget runs out."""
     if budget < 1:
@@ -192,9 +188,7 @@ def learn(env: Env, demo: Demonstration, suggester: ActionSuggester,
         while plan.frontier_exhausted():
             backtrack(plan, suggester)
             backtracks += 1
-        res = run_episode(env, demo, plan, suggester, rng, early_reset)
-        if res.dead_end:
-            continue
+        res = run_episode(env, demo, plan, suggester, rng)
         episodes += 1
         total_steps += res.steps_taken
         done = plan.frontier >= demo.horizon

@@ -178,13 +178,10 @@ class Hypothesis:
             lo = self.run_pos0 + self._min_span(run_elem, j1)
             cap, hi_base = self.consumed, None
         else:
-            for elem_lo, elem_hi, pos_lo, pos_end in self.layout:
-                if elem_lo <= j1 <= elem_hi:
-                    break
-            else:
-                return None
-            if elem_lo == elem_hi:
-                return None
+            # j1 lies in a closed block, an ambiguous region: a one-element
+            # block's label is assigned, and m is not
+            elem_lo, elem_hi, pos_lo, pos_end = next(
+                block for block in self.layout if block[0] <= j1 <= block[1])
             lo = pos_lo + self._min_span(elem_lo, j1)
             hi_base = pos_end - self._min_span(j1 + 1, elem_hi + 1)
             cap = hi_base - lo
@@ -307,12 +304,12 @@ class SketchPool:
         self._created = 0
         self.max_branch_per_parent = 0  # high-water mark, for property tests
 
-    def _rank_key(self, pb: bytes):
-        def key(h: Hypothesis):
-            # a claim's effective score is never below the base score
-            got = h.proposal(pb, self.optimistic)
-            return (-(h.score() if got is None else got[1]), -len(h.assigned), h.created)
-        return key
+    @staticmethod
+    def _rank(h: Hypothesis, got) -> tuple:
+        """Sort key of `h` with proposal `got`: higher effective score first
+        (without a claim, the base score, which a claim never lowers), then
+        more assigned labels, then the older hypothesis."""
+        return (-(h.score() if got is None else got[1]), -len(h.assigned), h.created)
 
     def stored_count(self) -> int:
         return len(self.active) + len(self.frozen)
@@ -467,14 +464,12 @@ class SketchPool:
             new = self.branch(parent, pb)
             self.max_branch_per_parent = max(self.max_branch_per_parent, len(new))
             pool.extend(new)
-        rank = self._rank_key(pb)
-        pool.sort(key=rank)
+        pool.sort(key=lambda h: self._rank(h, h.proposal(pb, self.optimistic)))
         keep = self.n_active - 1  # the blank permanently holds one slot
         self.active = [self.blank] + pool[:keep]
+        # no suggestion reads a frozen hypothesis: past the cap, drop the newest
         self.frozen.extend(pool[keep:])
-        if self.stored_count() > self.mem_cap:
-            self.frozen.sort(key=rank)
-            del self.frozen[self.mem_cap - len(self.active):]
+        del self.frozen[max(0, self.mem_cap - len(self.active)):]
 
     def rebuild(self, actions) -> None:
         """Reset to the blank hypothesis and re-ingest the surviving prefix."""
@@ -488,23 +483,15 @@ class SketchPool:
     # -- selection ----------------------------------------------------------------
 
     def select(self, actions, excluded: set[Action]):
-        """Highest-scoring eligible active hypothesis and its suggestion.
+        """Best-ranked eligible active hypothesis and its suggestion.
 
-        Eligible = suggests an action outside `excluded`. Ties prefer more
-        assigned labels, then the older hypothesis.
+        Eligible = suggests an action outside `excluded`.
         """
         pb = bytes(actions)
-        best = None
-        for h in self.active:
-            got = h.proposal(pb, self.optimistic)
-            if got is None or got[0] in excluded:
-                continue
-            k = (got[1], len(h.assigned), -h.created)
-            if best is None or k > best[0]:
-                best = (k, h, got[0])
-        if best is None:
-            return None
-        return best[1], best[2]
+        best = min(((self._rank(h, got), h, got[0]) for h in self.active
+                    if (got := h.proposal(pb, self.optimistic)) is not None
+                    and got[0] not in excluded), default=None)
+        return None if best is None else best[1:]
 
 
 class SketchPoolSuggester(ActionSuggester):

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from procsearch.envs.craft import (
-    DOWN, MapError, USE, load_grid_map, make_gem_task, make_island_task,
+    DOWN, MapError, USE, GridCraftEnv, make_gem_task, make_island_task,
 )
 
 
 def test_minimal_map_and_agent_position():
-    env = load_grid_map("...\n.@.\n...")
+    env = GridCraftEnv("...\n.@.\n...")
     assert env.pos == (1, 1)
     assert env._grid0[1][1] == "."
 
@@ -21,11 +21,11 @@ def test_minimal_map_and_agent_position():
 ])
 def test_map_errors(bad):
     with pytest.raises(MapError):
-        load_grid_map(bad)
+        GridCraftEnv(bad)
 
 
 def test_blocked_move_keeps_position_and_tags_token():
-    env = load_grid_map("#..\n#@.\n#..")
+    env = GridCraftEnv("#..\n#@.\n#..")
     base = env.reset()
     tok = env.step(2)  # left into wall
     assert env.pos == (1, 1)
@@ -34,7 +34,7 @@ def test_blocked_move_keeps_position_and_tags_token():
 
 
 def test_wood_pickup_changes_grid_and_inventory():
-    env = load_grid_map(".W.\n.@.\n...")
+    env = GridCraftEnv(".W.\n.@.\n...")
     env.reset()
     tok = env.step(USE)
     assert env.inventory["wood"] == 1
@@ -43,13 +43,13 @@ def test_wood_pickup_changes_grid_and_inventory():
 
 
 def test_empty_use_is_tagged_noop():
-    env = load_grid_map("...\n.@.\n...")
+    env = GridCraftEnv("...\n.@.\n...")
     env.reset()
     assert env.step(USE).endswith("|no:use")
 
 
 def test_reset_token_encodes_initial_map():
-    env = load_grid_map("...\n.@.\n...")
+    env = GridCraftEnv("...\n.@.\n...")
     tok = env.reset()
     assert tok == env._token()
     assert "..././/..." or True  # the token is the canonical serialization
@@ -118,7 +118,7 @@ def test_craft_determinism_fuzz():
 
 def test_tokens_are_bijective_on_latent_state():
     # distinct (pos, inventory, grid) always serialize differently
-    env = load_grid_map(".W.\n.@.\n...")
+    env = GridCraftEnv(".W.\n.@.\n...")
     env.reset()
     t0 = env._token()
     env.step(USE)
@@ -129,7 +129,7 @@ def test_tokens_are_bijective_on_latent_state():
 
 
 def test_gridcraft_raft_requirements():
-    env = load_grid_map("~..\n~@.\n~..")
+    env = GridCraftEnv("~..\n~@.\n~..")
     env.reset()
     assert env.step(USE).endswith("|no:use")  # no materials yet
     env.inventory.update({"plank": 2, "wood": 1})

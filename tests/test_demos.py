@@ -1,0 +1,23 @@
+"""Every demo script runs to completion.
+
+Each runs in its own process from a scratch directory, since a demo may
+write its outputs under the working directory.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

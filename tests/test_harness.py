@@ -77,7 +77,8 @@ def test_parse_sweep_spec_rejects_garbage():
         parse_sweep_spec("envs=chain\n")  # no agents
     # a bad line is named in the error
     for line in ("bogus_key=1", "this is not a kv line", "optimistic=maybe",
-                 "n_hypotheses=x", "seeds=a", "seeds=3-1", "max_episodes=1.5"):
+                 "n_hypotheses=x", "seeds=a", "seeds=3-1", "max_episodes=1.5",
+                 "early_reset=true", "min_repeat_len=3"):
         with pytest.raises(ConfigError, match=repr(line)):
             parse_sweep_spec(f"envs=chain\nagents=bps\n{line}\n")
     # a key repeated within a block is named, not silently overridden
@@ -89,8 +90,19 @@ def test_parse_sweep_spec_rejects_garbage():
 
 def test_run_agent_rejects_unknown_options():
     task = make_task("chain")
-    with pytest.raises(ConfigError, match="n_hypotheses_typo"):
-        run_agent("bps", task, task.demo(), 0, 10, {"n_hypotheses_typo": 3})
+    for key, value in (("n_hypotheses_typo", 3), ("early_reset", True), ("min_repeat_len", 3)):
+        with pytest.raises(ConfigError, match=key):
+            run_agent("bps", task, task.demo(), 0, 10, {key: value})
+
+
+def test_run_config_fields_and_their_flags(capsys):
+    assert [f.name for f in fields(RunConfig)] == [
+        "n_hypotheses", "optimistic", "env", "agent", "seed", "max_episodes", "out"]
+    for flag in (["--early-reset"], ["--min-repeat-len", "3"], ["--optimistic"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--env", "chain", "--agent", "bps", "--seed", "0", *flag])
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 def test_every_run_config_field_round_trips_through_cli_and_sweep(monkeypatch):
@@ -107,7 +119,7 @@ def test_every_run_config_field_round_trips_through_cli_and_sweep(monkeypatch):
         name = f.name.replace("_", "-")
         args = ["run", "--env", "chain", "--agent", "bps", "--seed", "0"]
         if kind is bool:
-            args.append(f"--no-{name}" if old else f"--{name}")
+            args.append(f"--no-{name}")  # the only bool flag: every bool defaults to true
         else:
             args += [f"--{name}", str(new)]  # a repeated flag overrides the earlier one
         assert cli.main(args) == 0

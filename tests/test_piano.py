@@ -69,9 +69,3 @@ def test_demo_realizable_and_segments_fixed():
 def test_demo_is_aliased():
     demo = make_piano_task().demo()
     assert len(set(demo.observations)) < demo.horizon
-
-
-def test_env_score_matches_demo_notes():
-    task = make_piano_task()
-    env = task.env()
-    assert env.score == notes_only_view(task.demo()).observations

@@ -13,8 +13,8 @@ E, F, G = 0, 1, 2
 DOWN, LEFT = 3, 4
 
 
-def fed_store(plan, **kw):
-    store = RepeatStore(**kw)
+def fed_store(plan):
+    store = RepeatStore()
     store.rebuild(bytes(plan))
     return store
 
@@ -60,13 +60,6 @@ def test_empty_store_suggests_nothing():
     assert store.suggest_ranked(bytes((E, F))) == []
 
 
-def test_min_repeat_len_config():
-    store = fed_store((E, E, E), min_len=3)
-    assert bytes((E, E)) not in store.counts
-    store2 = fed_store((E, E, E), min_len=2)
-    assert store2.counts[bytes((E, E))] == 2
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=64))
 def test_store_equals_brute_force_on_every_prefix(plan):
@@ -102,21 +95,21 @@ def test_backtrack_rebuild_matches_fresh_store():
     assert sug.store.counts == fresh.counts
 
 
-def test_equal_count_candidate_below_a_weaker_one_still_ranks():
-    # a pinned case where a longer candidate of the best count for its
-    # action lies below a node that only ties that count: the walk may skip
-    # only what repeats less
-    plan = (1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1)
-    store = fed_store(plan, min_len=3)
-    q = bytes((1, 0, 1))
-    assert store.suggest_ranked(q) == brute_force_suggest_ranked(store.counts, q)
+def test_tied_node_below_a_longer_match_adds_nothing():
+    # from the suffix (1,) the walk meets (1, 0), which only ties action 0's
+    # best count, set from the suffix (0, 1) by (0, 1, 0, 1); the candidate
+    # below it, (1, 0, 1), has that count too but is shorter: every (1, 0)
+    # follows a 0, so (0, 1, 0, 1) extends (1, 0, 1) with the same count
+    store = fed_store((0, 1, 0, 1, 0, 1))
+    assert store.counts[bytes((1, 0, 1))] == store.counts[bytes((0, 1, 0, 1))] == 2
+    q = bytes((0, 1))
+    assert store.suggest_ranked(q) == brute_force_suggest_ranked(store.counts, q) == [0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_confirm_and_backtrack_match_the_oracles(data):
     n_actions = data.draw(st.integers(2, 4), label="n_actions")
-    min_len = data.draw(st.sampled_from((2, 3)), label="min_len")
     actions = st.integers(0, n_actions - 1)
     # a repeated motif makes the periodic plans where candidates nest
     motif = data.draw(st.lists(actions, min_size=1, max_size=5), label="motif")
@@ -125,12 +118,12 @@ def test_confirm_and_backtrack_match_the_oracles(data):
                     label="ops")
     queries = data.draw(st.lists(st.lists(actions, max_size=12).map(bytes), max_size=3),
                         label="queries")
-    sug = RepeatPoolSuggester(min_repeat_len=min_len)
+    sug = RepeatPoolSuggester()
     plan = SimpleNamespace(confirmed=[])
 
     def check(extra=()):
         store = sug.store
-        assert store.counts == brute_force_repeat_counts(plan.confirmed, min_len)
+        assert store.counts == brute_force_repeat_counts(plan.confirmed)
         for q in [bytes(plan.confirmed), *queries, *extra]:
             assert store.suggest_ranked(q) == brute_force_suggest_ranked(store.counts, q)
 

@@ -36,7 +36,7 @@ def test_agents_sound_on_random_aliased_envs(agent):
             suggester = SketchPoolSuggester(demo.sketch, demo.horizon,
                                             n_active=rng.choice((1, 2, 4)))
         elif agent == "repeats":
-            suggester = RepeatPoolSuggester(min_repeat_len=rng.choice((2, 3)))
+            suggester = RepeatPoolSuggester()
         else:
             suggester = UniformSuggester()
         rep = learn(env, demo, suggester, random.Random(i), budget=300000)

@@ -80,15 +80,6 @@ def test_mismatch_fills_episode_with_random_actions():
     assert not res.new_action_confirmed
 
 
-def test_early_reset_stops_at_mismatch():
-    env, script = make_chain(n_actions=2, horizon=5)
-    demo = record_demonstration(env, script)
-    plan = PartialPlan(env.n_actions)
-    res = run_episode(env, demo, plan, ScriptedSuggester([1 - script[0]]),
-                      random.Random(0), early_reset=True)
-    assert res.steps_taken == 1
-
-
 def test_backtrack_unrolls_one_step():
     plan = PartialPlan(2)
     for a in (0, 1, 0):

@@ -1,8 +1,11 @@
 import random
+from statistics import mean
 
 from hypothesis import example, given, settings, strategies as st
 
+from procsearch.agents import run_agent
 from procsearch.core import Demonstration, Sketch, record_demonstration
+from procsearch.envs import make_task
 from procsearch.envs.scripted import ScriptedEnv
 from procsearch.search import UniformSuggester, learn
 from procsearch.sketch import Hypothesis, SketchPool, SketchPoolSuggester
@@ -120,6 +123,16 @@ def test_optimistic_toggle_off_returns_none():
     for a in plan:
         blank.advance(a)
     assert blank.suggest(bytes(plan), optimistic=False) is None
+
+
+def test_optimism_speeds_up_learning_on_island():
+    # the paper's claim: answering open runs optimistically learns faster
+    task = make_task("island")
+    demo = task.demo()
+    episodes = {opt: [run_agent("plots_sketch", task, demo, seed, 30000,
+                                {"optimistic": opt}).episodes for seed in range(10)]
+                for opt in (True, False)}
+    assert mean(episodes[False]) >= 1.5 * mean(episodes[True])
 
 
 def test_branching_consistent_evidence_example():
@@ -277,6 +290,24 @@ def test_active_hypotheses_stay_consistent(data):
 
 def pool_keys(pool):
     return [h.key() for h in pool.active], [h.key() for h in pool.frozen]
+
+
+def test_frozen_store_stays_within_the_cap():
+    sketch = Sketch(("b0", "b1") * 4)
+    plan = [0, 1, 1, 0, 2] * 5
+    pool = SketchPool(sketch, horizon=2)  # mem_cap 16, branch_cap 1
+    roomy = SketchPool(sketch, horizon=3)  # mem_cap 36, the same branch_cap
+    for t in range(1, len(plan) + 1):
+        pool.on_confirmed(plan[:t])
+        roomy.on_confirmed(plan[:t])
+        assert pool.stored_count() <= pool.mem_cap == 16
+        assert pool_keys(pool)[0] == pool_keys(roomy)[0]  # the cap leaves the active set
+    assert roomy.stored_count() > pool.mem_cap  # the plan does overflow the cap
+    for cut in range(len(plan) + 1):
+        pool.rebuild(tuple(plan[:cut]))
+        fresh = SketchPool(sketch, horizon=2)
+        feed(fresh, plan[:cut])
+        assert pool_keys(pool) == pool_keys(fresh)
 
 
 @settings(max_examples=60, deadline=None)
