@@ -137,53 +137,54 @@ def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> L
 def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
     """Optimistic certainty-equivalent planning over the token graph.
 
-    Unknown (token, action) pairs are valued at the best possible remaining
-    reward; the value function is recomputed whenever the model grows (it
-    cannot change otherwise, so this equals replanning every step).
+    Unknown (token, action) pairs are valued at every remaining step, H - t.
+    A step pays at most 1, so no action is worth more: a token with an
+    untried action takes its lowest one and is itself worth H - t. Its row
+    therefore fills lowest action first, and a new edge can change the
+    value function only when it completes its token's row. The values, and
+    with them the greedy action of every fully known token at every
+    position (lowest id on ties), are recomputed after such an edge, at
+    most once per token; between replans a choice is a lookup.
     """
     horizon = demo.horizon
 
     def policy(table: _TokenTable, n_act: int):
         trans = np.full((table.n, n_act), _UNKNOWN, dtype=np.int64)
-        values = None  # stale until the next choice after the model grows
-
-        def q_of(rows, expect):
-            """q(v_next, t): the action values of the token rows `rows` of
-            `trans`, expecting `expect`, at position t. An unknown action is
-            worth every remaining step; a known one, a match plus the value
-            of the token it reaches (none off the vocabulary)."""
-            known = rows != _UNKNOWN
-            nxt = np.clip(rows, 0, None)        # TERM/unknown clipped; masked below
-            on_vocab = rows >= 0
-            reward = (rows == expect).astype(float)
-
-            def q(v_next, t):
-                cont = np.where(on_vocab, v_next[nxt], 0.0)
-                return np.where(known, reward + cont, float(horizon - t))
-            return q
+        known = [0] * table.n  # actions 0..known[s]-1 of token s are known
+        greedy = None  # greedy[t][s] at full rows; stale after a row fills
 
         def replan():
-            v = np.zeros((horizon + 1, table.n))
-            q = q_of(trans, table.expect[:, None])
+            # unknown/TERM lead to the extra last entry, worth nothing
+            nxt = np.where(trans >= 0, trans, table.n)
+            reward = (trans == table.expect[:, None]).astype(float)
+            full = np.array(known) == n_act
+            rows = np.arange(table.n)
+            v = np.zeros(table.n + 1)
+            out = [None] * horizon
             for t in range(horizon - 1, -1, -1):
-                v[t] = q(v[t + 1], t).max(axis=1)
-            return v
+                q = reward + v[nxt]
+                g = q.argmax(axis=1)
+                # a token with an untried action is worth every remaining step
+                v[:-1] = np.where(full, q[rows, g], float(horizon - t))
+                out[t] = g.tolist()
+            return out
 
         def choose(s: int, t: int) -> int:
-            nonlocal values
-            if values is None:
-                values = replan()
-            q = q_of(trans[s], table.expect[s])(values[t + 1], t)
-            best = q.max()
-            tied = np.flatnonzero(q >= best - 1e-12)
-            untried = [a for a in tied if trans[s, a] == _UNKNOWN]
-            return int(untried[0] if untried else tied[0])
+            nonlocal greedy
+            k = known[s]
+            if k < n_act:
+                return k
+            if greedy is None:
+                greedy = replan()
+            return greedy[t][s]
 
         def observe(s: int, a: int, z: int) -> None:
-            nonlocal values
-            if trans[s, a] == _UNKNOWN:
+            nonlocal greedy
+            if a == known[s]:
                 trans[s, a] = z
-                values = None
+                known[s] = a + 1
+                if a + 1 == n_act:
+                    greedy = None
 
         return choose, observe
 
@@ -194,22 +195,27 @@ def ucb_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
     """Per-token bandit with optimistic upper bounds.
 
     Rewards are deterministic, so one pull pins an arm's bound; untried arms
-    have an infinite bound and are always taken first (lowest id first).
+    have an infinite bound and are always taken first (lowest id first), so
+    a token's row fills lowest action first. Once it is full the best arm,
+    the lowest one that paid 1 (else action 0), never changes.
     """
     def policy(table: _TokenTable, n_act: int):
-        tried = np.zeros((table.n, n_act), dtype=bool)
-        reward = np.zeros((table.n, n_act))
+        expect = table.expect.tolist()
+        known = [0] * table.n  # arms 0..known[s]-1 of token s are tried
+        paid = [None] * table.n  # the lowest arm of token s that paid 1
 
         def choose(s: int, t: int) -> int:
-            row = tried[s]
-            if not row.all():
-                return int(np.flatnonzero(~row)[0])
-            return int(reward[s].argmax())
+            k = known[s]
+            if k < n_act:
+                return k
+            a = paid[s]
+            return 0 if a is None else a
 
         def observe(s: int, a: int, z: int) -> None:
-            if not tried[s, a]:
-                tried[s, a] = True
-                reward[s, a] = 1.0 if z == table.expect[s] else 0.0
+            if a == known[s]:
+                known[s] = a + 1
+                if paid[s] is None and z == expect[s]:
+                    paid[s] = a
 
         return choose, observe
 

@@ -170,22 +170,3 @@ def brute_force_repeat_counts(plan) -> dict[bytes, int]:
                     out[seq] = c
     return out
 
-
-def brute_force_suggest_ranked(counts: dict[bytes, int], plan_bytes: bytes) -> list[Action]:
-    """Oracle for `RepeatStore.suggest_ranked`: a linear scan testing every
-    candidate's prefixes against the plan suffix, longest first."""
-    scored = []
-    for seq, c in counts.items():
-        best_j = 0
-        for j in range(min(len(seq) - 1, len(plan_bytes)), 0, -1):
-            if plan_bytes.endswith(seq[:j]):
-                best_j = j
-                break
-        if best_j:
-            scored.append((-c, -len(seq), seq, seq[best_j]))
-    scored.sort()
-    out: list[Action] = []
-    for *_, a in scored:
-        if a not in out:
-            out.append(a)
-    return out

@@ -256,31 +256,6 @@ class Hypothesis:
         got = self.proposal(pb, optimistic)
         return None if got is None else got[0]
 
-    # -- consistency ----------------------------------------------------------
-
-    def is_consistent(self, plan_actions) -> bool:
-        """Replay the alignment against the plan: a test oracle, since the
-        pool keeps its active hypotheses consistent incrementally."""
-        if self.consumed > len(plan_actions):
-            return False
-        for elem_lo, elem_hi, pos_lo, pos_end in self.layout:
-            if elem_lo == elem_hi and self.sketch[elem_lo] in self.assigned:
-                content = self.assigned[self.sketch[elem_lo]]
-                if pos_end - pos_lo != len(content):
-                    return False
-                if tuple(plan_actions[pos_lo:pos_end]) != content:
-                    return False
-        if self.run_elem is None and not self.is_complete and self.offset:
-            content = self.assigned[self.sketch[self.elem]]
-            got = tuple(plan_actions[self.consumed - self.offset:self.consumed])
-            if got != content[:self.offset]:
-                return False
-        return True
-
-    def exact_segments(self):
-        """(elem, start, end) for every element pinned to exact content."""
-        return [(lo, a, b) for lo, hi, a, b in self.layout if lo == hi]
-
 
 class SketchPool:
     """Active/frozen hypothesis bookkeeping for one learning run."""

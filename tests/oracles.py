@@ -1,0 +1,134 @@
+"""Reference implementations that tests compare the library against.
+
+Each one is the plain, slow form of something the library computes
+incrementally: R-max replans after every new edge and UCB scans a token's
+whole row on every choice, the repeat suggestion scans every candidate, and
+the hypothesis checks replay an alignment against the whole plan.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from procsearch.baselines import _UNKNOWN, _TokenTable, _tabular_learn
+from procsearch.core import Action, Demonstration, Env
+from procsearch.search import LearnReport
+
+
+def rmax_full_replan_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
+    """R-max that recomputes the whole value function after every new edge
+    and evaluates every choice from the action values."""
+    horizon = demo.horizon
+
+    def policy(table: _TokenTable, n_act: int):
+        trans = np.full((table.n, n_act), _UNKNOWN, dtype=np.int64)
+        values = None  # stale until the next choice after the model grows
+
+        def q_of(rows, expect):
+            """q(v_next, t): the action values of the token rows `rows` of
+            `trans`, expecting `expect`, at position t. An unknown action is
+            worth every remaining step; a known one, a match plus the value
+            of the token it reaches (none off the vocabulary)."""
+            known = rows != _UNKNOWN
+            nxt = np.clip(rows, 0, None)        # TERM/unknown clipped; masked below
+            on_vocab = rows >= 0
+            reward = (rows == expect).astype(float)
+
+            def q(v_next, t):
+                cont = np.where(on_vocab, v_next[nxt], 0.0)
+                return np.where(known, reward + cont, float(horizon - t))
+            return q
+
+        def replan():
+            v = np.zeros((horizon + 1, table.n))
+            q = q_of(trans, table.expect[:, None])
+            for t in range(horizon - 1, -1, -1):
+                v[t] = q(v[t + 1], t).max(axis=1)
+            return v
+
+        def choose(s: int, t: int) -> int:
+            nonlocal values
+            if values is None:
+                values = replan()
+            q = q_of(trans[s], table.expect[s])(values[t + 1], t)
+            best = q.max()
+            tied = np.flatnonzero(q >= best - 1e-12)
+            untried = [a for a in tied if trans[s, a] == _UNKNOWN]
+            return int(untried[0] if untried else tied[0])
+
+        def observe(s: int, a: int, z: int) -> None:
+            nonlocal values
+            if trans[s, a] == _UNKNOWN:
+                trans[s, a] = z
+                values = None
+
+        return choose, observe
+
+    return _tabular_learn(env, demo, budget, policy)
+
+
+def ucb_scan_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
+    """The per-token bandit that scans a token's whole row on every choice."""
+    def policy(table: _TokenTable, n_act: int):
+        tried = np.zeros((table.n, n_act), dtype=bool)
+        reward = np.zeros((table.n, n_act))
+
+        def choose(s: int, t: int) -> int:
+            row = tried[s]
+            if not row.all():
+                return int(np.flatnonzero(~row)[0])
+            return int(reward[s].argmax())
+
+        def observe(s: int, a: int, z: int) -> None:
+            if not tried[s, a]:
+                tried[s, a] = True
+                reward[s, a] = 1.0 if z == table.expect[s] else 0.0
+
+        return choose, observe
+
+    return _tabular_learn(env, demo, budget, policy)
+
+
+def brute_force_suggest_ranked(counts: dict[bytes, int], plan_bytes: bytes) -> list[Action]:
+    """Oracle for `RepeatStore.suggest_ranked`: a linear scan testing every
+    candidate's prefixes against the plan suffix, longest first."""
+    scored = []
+    for seq, c in counts.items():
+        best_j = 0
+        for j in range(min(len(seq) - 1, len(plan_bytes)), 0, -1):
+            if plan_bytes.endswith(seq[:j]):
+                best_j = j
+                break
+        if best_j:
+            scored.append((-c, -len(seq), seq, seq[best_j]))
+    scored.sort()
+    out: list[Action] = []
+    for *_, a in scored:
+        if a not in out:
+            out.append(a)
+    return out
+
+
+def is_consistent(h, plan_actions) -> bool:
+    """Replay hypothesis `h`'s alignment against the plan; the pool keeps its
+    active hypotheses consistent incrementally."""
+    if h.consumed > len(plan_actions):
+        return False
+    for elem_lo, elem_hi, pos_lo, pos_end in h.layout:
+        if elem_lo == elem_hi and h.sketch[elem_lo] in h.assigned:
+            content = h.assigned[h.sketch[elem_lo]]
+            if pos_end - pos_lo != len(content):
+                return False
+            if tuple(plan_actions[pos_lo:pos_end]) != content:
+                return False
+    if h.run_elem is None and not h.is_complete and h.offset:
+        content = h.assigned[h.sketch[h.elem]]
+        got = tuple(plan_actions[h.consumed - h.offset:h.consumed])
+        if got != content[:h.offset]:
+            return False
+    return True
+
+
+def exact_segments(h):
+    """(elem, start, end) for every element of `h` pinned to exact content."""
+    return [(lo, a, b) for lo, hi, a, b in h.layout if lo == hi]

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procsearch.baselines import OracleAlignedSuggester, rmax_learn, ucb_learn
 from procsearch.core import Sketch, record_demonstration, spans_from_lengths
 from procsearch.envs import make_task
-from procsearch.envs.scripted import ScriptedEnv, make_chain
+from procsearch.envs.scripted import ScriptedEnv, make_chain, random_aliased_env
 from procsearch.search import PartialPlan, UniformSuggester, learn, replay_matches
+from tests.oracles import rmax_full_replan_learn, ucb_scan_learn
 
 
 def _plan_with(n_actions, actions):
@@ -112,3 +114,22 @@ def test_small_budget_reports_incomplete():
     rep = ucb_learn(task.env(), demo, budget=5)
     assert not rep.complete
     assert len(rep.rows) <= 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tabular_agents_match_their_oracles(data):
+    # rows fill lowest action first, so R-max replans only when one fills
+    # and UCB fixes a full row's best arm; the runs must not change
+    n_actions = data.draw(st.integers(2, 5))
+    horizon = data.draw(st.integers(3, 40))
+    if data.draw(st.booleans()):
+        env, script = make_chain(n_actions, horizon)
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        env, script = random_aliased_env(rng, n_actions, horizon,
+                                         n_tokens=data.draw(st.integers(2, 4)))
+    demo = record_demonstration(env, script)
+    budget = data.draw(st.integers(1, 2 * n_actions * horizon))
+    assert rmax_learn(env, demo, budget) == rmax_full_replan_learn(env, demo, budget)
+    assert ucb_learn(env, demo, budget) == ucb_scan_learn(env, demo, budget)

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from procsearch.core import record_demonstration
 from procsearch.envs.scripted import ScriptedEnv
-from procsearch.repeats import (RepeatPoolSuggester, RepeatStore, brute_force_repeat_counts,
-                                brute_force_suggest_ranked)
+from procsearch.repeats import RepeatPoolSuggester, RepeatStore, brute_force_repeat_counts
 from procsearch.search import UniformSuggester, learn
+from tests.oracles import brute_force_suggest_ranked
 
 E, F, G = 0, 1, 2
 DOWN, LEFT = 3, 4

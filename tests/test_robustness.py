@@ -14,6 +14,7 @@ from procsearch.envs.scripted import random_aliased_env
 from procsearch.repeats import RepeatPoolSuggester
 from procsearch.search import UniformSuggester, learn, replay_matches
 from procsearch.sketch import SketchPoolSuggester
+from tests.oracles import is_consistent
 
 
 def random_sketch(rng, horizon):
@@ -59,5 +60,5 @@ def test_sketch_agent_survives_heavy_backtracking():
         assert replay_matches(env, demo, rep.plan)
         total_backtracks += rep.backtracks
         for h in sug.pool.active:
-            assert h.is_consistent(rep.plan)
+            assert is_consistent(h, rep.plan)
     assert total_backtracks > 0  # the batch genuinely exercised unrolling

@@ -9,6 +9,7 @@ from procsearch.envs import make_task
 from procsearch.envs.scripted import ScriptedEnv
 from procsearch.search import UniformSuggester, learn
 from procsearch.sketch import Hypothesis, SketchPool, SketchPoolSuggester
+from tests.oracles import exact_segments, is_consistent
 
 E, F, G, H_ACT, I_ACT = 0, 1, 2, 3, 4
 
@@ -269,7 +270,7 @@ def test_score_matches_oracle_on_random_instances(data):
     for h in pool.active + pool.frozen:
         assert h.score() == oracle_score(h)
         if h.consumed == len(plan):
-            assert h.is_consistent(plan)
+            assert is_consistent(h, plan)
 
 
 @settings(max_examples=40, deadline=None)
@@ -283,8 +284,8 @@ def test_active_hypotheses_stay_consistent(data):
     feed(pool, plan)
     for h in pool.active:
         assert h.consumed == len(plan)
-        assert h.is_consistent(plan)
-        for elem, start, end in h.exact_segments():
+        assert is_consistent(h, plan)
+        for elem, start, end in exact_segments(h):
             assert tuple(plan[start:end]) == h.assigned[sketch.elements[elem]]
 
 
