@@ -36,6 +36,15 @@ their branching windows. A hypothesis whose suggestion misses merely
 becomes ineligible at that position (the action lands in the frontier's
 failed set); it is eliminated only when a confirmed action contradicts its
 alignment.
+
+After each confirmation the pool saves a checkpoint of that plan depth:
+copies of the active hypotheses (confirmations advance them in place) and
+the length of the frozen list. Frozen hypotheses are never changed, and the
+list only grows at its tail; it grows only while the active set is full,
+when its cap is at its lowest, so the cap only ever drops hypotheses frozen
+by the same confirmation. A backtrack restores copies of the checkpoint at
+the shortened plan and cuts the frozen list back to its length, instead of
+replaying the plan from the start.
 """
 
 from __future__ import annotations
@@ -126,7 +135,8 @@ class Hypothesis:
                 self.elem, self.offset, self.run_elem, self.run_pos0, self.consumed)
 
     def _shell(self) -> "Hypothesis":
-        h = Hypothesis(self.sketch, dict(self.assigned), list(self.layout), self.consumed)
+        h = Hypothesis(self.sketch, dict(self.assigned), list(self.layout), self.consumed,
+                       self.created)
         h.elem, h.offset = self.elem, self.offset
         h.run_elem, h.run_pos0 = self.run_elem, self.run_pos0
         return h
@@ -278,6 +288,10 @@ class SketchPool:
         self.seen: set = set()
         self._created = 0
         self.max_branch_per_parent = 0  # high-water mark, for property tests
+        # checkpoints[d]: the state after confirming the first d actions of
+        # `_plan`, as (copies of the active hypotheses, len(frozen))
+        self._plan = b""
+        self.checkpoints: list[tuple[list[Hypothesis], int]] = [([self.blank._shell()], 0)]
 
     @staticmethod
     def _rank(h: Hypothesis, got) -> tuple:
@@ -347,6 +361,9 @@ class SketchPool:
         longest = (t - parent.run_pos0) // 2
         if longest > cap:
             return []
+        # nothing lies between the occurrences in the open run, so the first
+        # one can only start at s2 - ln, the end of its window
+        adjacent = rep == j1 + 1 and j1 >= parent.run_elem
         children: list[Hypothesis] = []
         # longest candidate content first: most informative, most falsifiable
         for ln in range(longest, 0, -1):
@@ -358,9 +375,14 @@ class SketchPool:
             window = parent._first_window(site, s2, ln)
             if window is None:
                 continue
+            lo, hi = window
+            if adjacent:
+                if hi != s2 - ln:
+                    continue
+                lo = hi
             content = pb[s2:t]
-            end = window[1] + ln
-            p = pb.find(content, window[0], end)
+            end = hi + ln
+            p = pb.find(content, lo, end)
             while p != -1:
                 child = self._make_branch_child(parent, pb, m, j1, rep, p, ln, s2)
                 if child is not None:
@@ -427,6 +449,9 @@ class SketchPool:
     # -- plan-event hooks -------------------------------------------------------
 
     def on_confirmed(self, actions: list[Action]) -> None:
+        """Advance the pool by the newest action of `actions`, which must
+        extend the plan of the previous confirmation or rebuild by one, and
+        save the checkpoint of `actions`."""
         self.seen = set()
         a = actions[-1]
         pb = bytes(actions)
@@ -445,14 +470,26 @@ class SketchPool:
         # no suggestion reads a frozen hypothesis: past the cap, drop the newest
         self.frozen.extend(pool[keep:])
         del self.frozen[max(0, self.mem_cap - len(self.active)):]
+        self._plan = pb
+        self.checkpoints.append(([h._shell() for h in self.active], len(self.frozen)))
 
     def rebuild(self, actions) -> None:
-        """Reset to the blank hypothesis and re-ingest the surviving prefix."""
-        self.blank = Hypothesis.blank(self.sketch)
-        self.active = [self.blank]
-        self.frozen = []
+        """Return to the state after confirming `actions`, as after a
+        backtrack: restore copies of the deepest checkpoint whose plan is a
+        prefix of `actions`, then confirm the actions past it (none, when
+        `actions` is the plan cut short)."""
+        pb = bytes(actions)
+        depth = min(len(pb), len(self._plan))
+        while pb[:depth] != self._plan[:depth]:
+            depth -= 1
+        del self.checkpoints[depth + 1:]
+        active, n_frozen = self.checkpoints[depth]
+        self.active = [h._shell() for h in active]
+        del self.frozen[n_frozen:]
+        self.blank = self.active[0]
         self.seen = set()
-        for i in range(1, len(actions) + 1):
+        self._plan = pb[:depth]
+        for i in range(depth + 1, len(pb) + 1):
             self.on_confirmed(list(actions[:i]))
 
     # -- selection ----------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each one is the plain, slow form of something the library computes
 incrementally: R-max replans after every new edge and UCB scans a token's
-whole row on every choice, the repeat suggestion scans every candidate, and
-the hypothesis checks replay an alignment against the whole plan.
+whole row on every choice, the repeat suggestion scans every candidate, the
+hypothesis checks replay an alignment against the whole plan, and sketch
+branching tries every match of the repeated content in its window.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 from procsearch.baselines import _UNKNOWN, _TokenTable, _tabular_learn
 from procsearch.core import Action, Demonstration, Env
 from procsearch.search import LearnReport
+from procsearch.sketch import Hypothesis
 
 
 def rmax_full_replan_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
@@ -132,3 +134,39 @@ def is_consistent(h, plan_actions) -> bool:
 def exact_segments(h):
     """(elem, start, end) for every element of `h` pinned to exact content."""
     return [(lo, a, b) for lo, hi, a, b in h.layout if lo == hi]
+
+
+def branch_scan_every_match(pool, parent, pb: bytes) -> list[Hypothesis]:
+    """Oracle for `SketchPool.branch`: builds a child for every match of the
+    repeated content in its window and keeps those that close consistently,
+    where the library skips starts whose child cannot exist."""
+    site = parent._repeat_site()
+    if site is None:
+        return []
+    m, j1, rep, _, cap, _, _, lo_rep, _ = site
+    t = parent.consumed
+    longest = (t - parent.run_pos0) // 2
+    if longest > cap:
+        return []
+    children: list[Hypothesis] = []
+    # longest candidate content first: most informative, most falsifiable
+    for ln in range(longest, 0, -1):
+        if len(children) >= pool.branch_cap:
+            break
+        s2 = t - ln
+        if s2 < lo_rep:
+            continue
+        window = parent._first_window(site, s2, ln)
+        if window is None:
+            continue
+        content = pb[s2:t]
+        end = window[1] + ln
+        p = pb.find(content, window[0], end)
+        while p != -1:
+            child = pool._make_branch_child(parent, pb, m, j1, rep, p, ln, s2)
+            if child is not None:
+                children.append(child)
+                if len(children) >= pool.branch_cap:
+                    break
+            p = pb.find(content, p + 1, end)
+    return children

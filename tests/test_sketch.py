@@ -9,7 +9,7 @@ from procsearch.envs import make_task
 from procsearch.envs.scripted import ScriptedEnv
 from procsearch.search import UniformSuggester, learn
 from procsearch.sketch import Hypothesis, SketchPool, SketchPoolSuggester
-from tests.oracles import exact_segments, is_consistent
+from tests.oracles import branch_scan_every_match, exact_segments, is_consistent
 
 E, F, G, H_ACT, I_ACT = 0, 1, 2, 3, 4
 
@@ -186,6 +186,9 @@ def test_branch_count_bounded_by_half_horizon():
             # `seen` holds only this confirmation's adoptions
             assert all(key[-1] == t for key in pool.seen)
             assert len(pool.seen) <= seen_cap
+            # one checkpoint per plan depth, each at most the active set
+            saved = sum(len(active) for active, _ in pool.checkpoints)
+            assert saved <= pool.n_active * (t + 1)
         assert pool.max_branch_per_parent <= horizon / 2
         assert pool.stored_count() <= 4 * horizon * horizon
 
@@ -325,3 +328,54 @@ def test_backtrack_rebuild_matches_fresh_pool(labels, plan, cut, n_active):
     feed(fresh, plan[:cut])
     assert pool_keys(pool) == pool_keys(fresh)
     assert pool.blank in pool.active
+
+
+def pool_state(pool):
+    """Active and frozen keys, and the active hypotheses' order by age."""
+    ages = sorted(range(len(pool.active)), key=lambda i: pool.active[i].created)
+    return pool_keys(pool), ages
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(("b0", "b1", "b2")), min_size=1, max_size=8),
+       st.lists(st.integers(-1, 2), max_size=40),  # -1: backtrack one step
+       st.sampled_from((2, 14)), st.integers(1, 4))
+@example(["b0", "b1"] * 4, [0, 1, 1, 0, 2] * 5 + [-1, 0, -1, 1, -1] + [-1] * 6, 2, 4)
+@example(["b1", "b1"], [1, 1, -1, 1, -1, 2, -1, -1], 2, 1)  # undoes a freeze, twice
+def test_backtracks_restore_what_a_fresh_pool_reaches(labels, ops, horizon, n_active):
+    # horizon 2 gives the smallest frozen cap (16), which long plans overflow
+    sketch = Sketch(tuple(labels))
+    pool = SketchPool(sketch, horizon=horizon, n_active=n_active)
+    plan = []
+    for op in ops:
+        if op >= 0:
+            before = list(pool.frozen)
+            plan.append(op)
+            pool.on_confirmed(plan)
+            # the cap never drops what the previous checkpoint counts
+            assert pool.frozen[:len(before)] == before
+        elif plan:
+            plan.pop()
+            pool.rebuild(tuple(plan))
+            fresh = SketchPool(sketch, horizon=horizon, n_active=n_active)
+            feed(fresh, plan)
+            assert pool_state(pool) == pool_state(fresh)
+            assert pool.active[0] is pool.blank
+            assert len(pool.checkpoints) == len(plan) + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(("b0", "b1", "b2", "b3")), min_size=2, max_size=7),
+       st.lists(st.integers(0, 2), min_size=2, max_size=20),
+       st.sampled_from((4, 20)), st.integers(1, 4))
+@example(["b0", "b0", "b1"], [1, 1, 2, 1, 1, 2, 0], 20, 4)
+def test_branch_matches_the_scan_every_match_oracle(labels, plan, horizon, n_active):
+    pool = SketchPool(Sketch(tuple(labels)), horizon=horizon, n_active=n_active)
+    for t in range(1, len(plan) + 1):
+        pool.on_confirmed(plan[:t])
+        pb = bytes(plan[:t])
+        for parent in pool.active + [h for h in pool.frozen if h.consumed == t]:
+            pool.seen = set()  # each side adopts its children afresh
+            got = [h.key() for h in pool.branch(parent, pb)]
+            pool.seen = set()
+            assert got == [h.key() for h in branch_scan_every_match(pool, parent, pb)]
