@@ -20,12 +20,10 @@ that ends the episode. Both agents are deterministic: ties prefer untried
 actions first, then the lowest action id. Once an episode repeats the
 previous one exactly without completing, nothing can ever change
 (deterministic policy, deterministic world, no new knowledge), so the run
-is declared incomplete without burning the rest of the budget.
+stops there as incomplete, with stop reason "fixed_point".
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .core import Action, Demonstration, Env, Sketch
 from .search import ActionSuggester, LearnReport, PartialPlan
@@ -33,34 +31,28 @@ from .search import ActionSuggester, LearnReport, PartialPlan
 
 class OracleAlignedSuggester(ActionSuggester):
     def __init__(self, alignment, sketch: Sketch):
-        self.spans = tuple(alignment)
-        self.labels = sketch.elements
-        if len(self.spans) != len(self.labels):
+        spans = tuple(alignment)
+        if len(spans) != len(sketch.elements):
             raise ValueError("alignment must give one span per sketch element")
+        # source[t]: the plan position whose action position t copies, the
+        # same offset into its label's first span; None inside a first span
+        self.source: list[int | None] = []
+        first: dict[str, int] = {}
+        for (s, e), lbl in zip(spans, sketch.elements):
+            if s != len(self.source) or e <= s:
+                raise ValueError(f"alignment spans must be non-empty and tile the "
+                                 f"demonstration in order; got {spans}")
+            s0 = first.setdefault(lbl, s)
+            self.source.extend(range(s0, s0 + e - s) if s0 != s else [None] * (e - s))
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
         t = plan.frontier
-        cur = None
-        for k, (s, e) in enumerate(self.spans):
-            if s <= t < e:
-                cur = k
-                break
-        if cur is None:
-            return None
-        lbl = self.labels[cur]
-        for j, (s, e) in enumerate(self.spans):
-            if self.labels[j] != lbl:
-                continue
-            if j == cur:
-                return None  # this is the label's first occurrence: nothing learned yet
-            if e <= len(plan.confirmed):
-                return plan.confirmed[s + (t - self.spans[cur][0])]
-            return None
-        return None
+        src = self.source[t] if t < len(self.source) else None
+        # spans tile in order, so a label's first span is confirmed by now
+        return None if src is None else plan.confirmed[src]
 
 
 _TERM = -2      # next-state marker for off-demonstration tokens
-_UNKNOWN = -1
 _NO_EXPECT = -9
 
 
@@ -75,7 +67,7 @@ class _TokenTable:
                 self.index[tok] = len(self.index)
         self.n = len(self.index)
         obs = demo.observations
-        self.expect = np.full(self.n, _NO_EXPECT, dtype=np.int64)
+        self.expect = [_NO_EXPECT] * self.n
         self.expect[self.index[start_token]] = self.index[obs[0]]
         for i in range(len(obs) - 1):
             s = self.index[obs[i]]
@@ -126,12 +118,13 @@ def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> L
         done = matched == horizon
         rows.append((ep, len(trace), best_matched, 0, done))
         if done:
-            return LearnReport(tuple(a for _, a, _ in trace), ep, total_steps, 0, True, rows)
+            return LearnReport(tuple(a for _, a, _ in trace), ep, total_steps, 0, True,
+                               "complete", rows)
         key = tuple(trace)
-        if key == prev_trace:
-            break  # fixed point: identical episode, no new knowledge, no completion
+        if key == prev_trace:  # identical episode, no new knowledge, no completion
+            return LearnReport((), budget, total_steps, 0, False, "fixed_point", rows)
         prev_trace = key
-    return LearnReport((), budget, total_steps, 0, False, rows)
+    return LearnReport((), budget, total_steps, 0, False, "budget", rows)
 
 
 def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
@@ -140,51 +133,66 @@ def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
     Unknown (token, action) pairs are valued at every remaining step, H - t.
     A step pays at most 1, so no action is worth more: a token with an
     untried action takes its lowest one and is itself worth H - t. Its row
-    therefore fills lowest action first, and a new edge can change the
-    value function only when it completes its token's row. The values, and
-    with them the greedy action of every fully known token at every
-    position (lowest id on ties), are recomputed after such an edge, at
-    most once per token; between replans a choice is a lookup.
+    therefore fills lowest action first, and a new edge can change a value
+    only when it completes its token's row. A fully known token's value and
+    greedy action at position t (lowest id on ties) are computed when a
+    choice first needs them and memoised until the next row fills.
     """
     horizon = demo.horizon
 
     def policy(table: _TokenTable, n_act: int):
-        trans = np.full((table.n, n_act), _UNKNOWN, dtype=np.int64)
-        known = [0] * table.n  # actions 0..known[s]-1 of token s are known
-        greedy = None  # greedy[t][s] at full rows; stale after a row fills
+        expect = table.expect
+        succ = [[] for _ in range(table.n)]  # succ[s][a]: the token action a led to
+        memo = {}  # (t, s) -> (value, greedy action) of a full row s
 
-        def replan():
-            # unknown/TERM lead to the extra last entry, worth nothing
-            nxt = np.where(trans >= 0, trans, table.n)
-            reward = (trans == table.expect[:, None]).astype(float)
-            full = np.array(known) == n_act
-            rows = np.arange(table.n)
-            v = np.zeros(table.n + 1)
-            out = [None] * horizon
-            for t in range(horizon - 1, -1, -1):
-                q = reward + v[nxt]
-                g = q.argmax(axis=1)
-                # a token with an untried action is worth every remaining step
-                v[:-1] = np.where(full, q[rows, g], float(horizon - t))
-                out[t] = g.tolist()
-            return out
+        def solve(t: int, s: int) -> None:
+            # depth first with an explicit stack: a demonstration can be
+            # longer than the recursion limit. A frame is [t, s, next action,
+            # best q, its action]; it waits while a successor is unsolved.
+            stack = [[t, s, 0, -1, 0]]
+            while stack:
+                frame = stack[-1]
+                t, s, a, best, arg = frame
+                row, e, t1 = succ[s], expect[s], t + 1
+                while a < n_act:
+                    z = row[a]
+                    if t1 == horizon or z == _TERM:
+                        v = 0
+                    elif len(succ[z]) < n_act:
+                        v = horizon - t1  # an untried action is worth every step left
+                    else:
+                        hit = memo.get((t1, z))
+                        if hit is None:
+                            break
+                        v = hit[0]
+                    q = (z == e) + v
+                    if q > best:
+                        best, arg = q, a
+                        if q == horizon - t:  # a step pays at most 1: nothing is worth more
+                            a = n_act
+                            break
+                    a += 1
+                if a < n_act:
+                    frame[2:] = a, best, arg
+                    stack.append([t1, z, 0, -1, 0])
+                else:
+                    memo[t, s] = best, arg
+                    stack.pop()
 
         def choose(s: int, t: int) -> int:
-            nonlocal greedy
-            k = known[s]
+            k = len(succ[s])
             if k < n_act:
                 return k
-            if greedy is None:
-                greedy = replan()
-            return greedy[t][s]
+            if (t, s) not in memo:
+                solve(t, s)
+            return memo[t, s][1]
 
         def observe(s: int, a: int, z: int) -> None:
-            nonlocal greedy
-            if a == known[s]:
-                trans[s, a] = z
-                known[s] = a + 1
+            row = succ[s]
+            if a == len(row):
+                row.append(z)
                 if a + 1 == n_act:
-                    greedy = None
+                    memo.clear()
 
         return choose, observe
 
@@ -200,7 +208,6 @@ def ucb_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
     the lowest one that paid 1 (else action 0), never changes.
     """
     def policy(table: _TokenTable, n_act: int):
-        expect = table.expect.tolist()
         known = [0] * table.n  # arms 0..known[s]-1 of token s are tried
         paid = [None] * table.n  # the lowest arm of token s that paid 1
 
@@ -214,7 +221,7 @@ def ucb_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
         def observe(s: int, a: int, z: int) -> None:
             if a == known[s]:
                 known[s] = a + 1
-                if paid[s] is None and z == expect[s]:
+                if paid[s] is None and z == table.expect[s]:
                     paid[s] = a
 
         return choose, observe

@@ -54,7 +54,8 @@ def main(argv=None) -> int:
             record = run(config)
             print(f"env={config.env} agent={config.agent} seed={config.seed} "
                   f"episodes={record.episodes} steps={record.total_steps} "
-                  f"backtracks={record.backtracks} complete={record.complete}")
+                  f"backtracks={record.backtracks} complete={record.complete} "
+                  f"stop_reason={record.stop_reason}")
             return 0
         if args.command == "sweep":
             spec_text = Path(args.spec).read_text()

@@ -183,6 +183,15 @@ class Task:
         return record_demonstration(self.make_env(), self.solution, self.sketch)
 
 
+def segments_to_task(name: str, make_env, segments) -> Task:
+    """The task whose solution concatenates the (label, actions) `segments`,
+    with their labels as its sketch and their spans as its alignment."""
+    return Task(name=name, make_env=make_env,
+                solution=tuple(a for _, seg in segments for a in seg),
+                sketch=Sketch(tuple(lbl for lbl, _ in segments)),
+                alignment=spans_from_lengths(len(seg) for _, seg in segments))
+
+
 def spans_from_lengths(lengths) -> tuple[tuple[int, int], ...]:
     """[3, 1, 2] -> ((0, 3), (3, 4), (4, 6)); used to build oracle alignments."""
     spans = []

@@ -9,7 +9,7 @@ falls into the OFF sink for the rest of the episode.
 
 from __future__ import annotations
 
-from ..core import Sketch, Task, spans_from_lengths
+from ..core import Task, segments_to_task
 from .scripted import ScriptedEnv
 
 ACTION_NAMES = (
@@ -57,11 +57,4 @@ class CprEnv(ScriptedEnv):
 
 
 def make_cpr_task() -> Task:
-    segments = cpr_segments()
-    return Task(
-        name="cpr",
-        make_env=CprEnv,
-        solution=tuple(a for _, seg in segments for a in seg),
-        sketch=Sketch(tuple(lbl for lbl, _ in segments)),
-        alignment=spans_from_lengths(len(seg) for _, seg in segments),
-    )
+    return segments_to_task("cpr", CprEnv, cpr_segments())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..core import Action, Env, Obs, Sketch, Task, spans_from_lengths
+from ..core import Action, Env, Obs, Task, segments_to_task
 
 UP, DOWN, LEFT, RIGHT, USE = range(5)
 ACTION_NAMES = ("up", "down", "left", "right", "use")
@@ -152,14 +152,6 @@ GEM_MAP = """\
 """
 
 
-def _segments_to_task(name: str, map_text: str, segments) -> Task:
-    solution = tuple(a for _, seg in segments for a in seg)
-    sketch = Sketch(tuple(lbl for lbl, _ in segments))
-    spans = spans_from_lengths(len(seg) for _, seg in segments)
-    return Task(name=name, make_env=lambda: GridCraftEnv(map_text),
-                solution=solution, sketch=sketch, alignment=spans)
-
-
 def island_segments():
     approach = (UP,) * 8 + (RIGHT,) * 2
     go_wood = (DOWN,) * 6
@@ -191,8 +183,8 @@ def gem_segments():
 
 
 def make_island_task() -> Task:
-    return _segments_to_task("island", ISLAND_MAP, island_segments())
+    return segments_to_task("island", lambda: GridCraftEnv(ISLAND_MAP), island_segments())
 
 
 def make_gem_task() -> Task:
-    return _segments_to_task("gem", GEM_MAP, gem_segments())
+    return segments_to_task("gem", lambda: GridCraftEnv(GEM_MAP), gem_segments())

@@ -14,7 +14,7 @@ several of which repeat back to back.
 
 from __future__ import annotations
 
-from ..core import Action, Demonstration, Env, Obs, Sketch, Task, intern_token, spans_from_lengths
+from ..core import Action, Demonstration, Env, Obs, Task, intern_token, segments_to_task
 
 PRESS_1, PRESS_2, PRESS_3, PRESS_4, PRESS_5, WRIST_UP, WRIST_DOWN, THUMB_UP, THUMB_DOWN = range(9)
 ACTION_NAMES = ("press_1", "press_2", "press_3", "press_4", "press_5",
@@ -86,15 +86,7 @@ def piano_segments():
 
 
 def make_piano_task() -> Task:
-    segments = piano_segments()
-    solution = tuple(a for _, seg in segments for a in seg)
-    return Task(
-        name="piano",
-        make_env=PianoEnv,
-        solution=solution,
-        sketch=Sketch(tuple(PIECE)),
-        alignment=spans_from_lengths(len(seg) for _, seg in segments),
-    )
+    return segments_to_task("piano", PianoEnv, piano_segments())
 
 
 def notes_only_view(demo: Demonstration) -> Demonstration:

@@ -79,6 +79,7 @@ class RunRecord:
     backtracks: int
     complete: bool
     rows: list = field(default_factory=list)
+    stop_reason: str | None = None  # the LearnReport's, when built from one
 
     def csv(self) -> str:
         lines = [CSV_HEADER]
@@ -95,7 +96,7 @@ def run(config: RunConfig) -> RunRecord:
     report: LearnReport = run_agent(config.agent, task, demo, config.seed,
                                     config.max_episodes, options)
     record = RunRecord(config, demo.horizon, report.episodes, report.total_steps,
-                       report.backtracks, report.complete, report.rows)
+                       report.backtracks, report.complete, report.rows, report.stop_reason)
     if config.out:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -79,10 +79,11 @@ class EpisodeResult:
 @dataclass
 class LearnReport:
     plan: tuple[Action, ...]
-    episodes: int
+    episodes: int  # censored: the full budget when the run did not complete
     total_steps: int
     backtracks: int
     complete: bool
+    stop_reason: str  # "complete", "budget" or "fixed_point"
     rows: list[tuple[int, int, int, int, bool]] = field(default_factory=list)
     # rows: (episode, steps, matched, cumulative backtracks, done)
 
@@ -199,6 +200,7 @@ def learn(env: Env, demo: Demonstration, suggester: ActionSuggester,
         total_steps=total_steps,
         backtracks=backtracks,
         complete=plan.frontier >= demo.horizon,
+        stop_reason="complete" if plan.frontier >= demo.horizon else "budget",
         rows=rows,
     )
 

@@ -359,7 +359,9 @@ class SketchPool:
         m, j1, rep, _, cap, _, _, lo_rep, _ = site
         t = parent.consumed
         longest = (t - parent.run_pos0) // 2
-        if longest > cap:
+        if longest > cap or rep == parent.run_elem:
+            # a repeat that opens the run (first occurrence in a closed
+            # region) must start at run_pos0, but every s2 = t - ln lies past it
             return []
         # nothing lies between the occurrences in the open run, so the first
         # one can only start at s2 - ln, the end of its window

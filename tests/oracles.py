@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from procsearch.baselines import _UNKNOWN, _TokenTable, _tabular_learn
+from procsearch.baselines import _TokenTable, _tabular_learn
 from procsearch.core import Action, Demonstration, Env
 from procsearch.search import LearnReport
 from procsearch.sketch import Hypothesis
+
+_UNKNOWN = -1  # next-state marker for an action not yet tried
 
 
 def rmax_full_replan_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
@@ -24,6 +26,7 @@ def rmax_full_replan_learn(env: Env, demo: Demonstration, budget: int) -> LearnR
 
     def policy(table: _TokenTable, n_act: int):
         trans = np.full((table.n, n_act), _UNKNOWN, dtype=np.int64)
+        expect = np.array(table.expect)
         values = None  # stale until the next choice after the model grows
 
         def q_of(rows, expect):
@@ -43,7 +46,7 @@ def rmax_full_replan_learn(env: Env, demo: Demonstration, budget: int) -> LearnR
 
         def replan():
             v = np.zeros((horizon + 1, table.n))
-            q = q_of(trans, table.expect[:, None])
+            q = q_of(trans, expect[:, None])
             for t in range(horizon - 1, -1, -1):
                 v[t] = q(v[t + 1], t).max(axis=1)
             return v
@@ -52,7 +55,7 @@ def rmax_full_replan_learn(env: Env, demo: Demonstration, budget: int) -> LearnR
             nonlocal values
             if values is None:
                 values = replan()
-            q = q_of(trans[s], table.expect[s])(values[t + 1], t)
+            q = q_of(trans[s], expect[s])(values[t + 1], t)
             best = q.max()
             tied = np.flatnonzero(q >= best - 1e-12)
             untried = [a for a in tied if trans[s, a] == _UNKNOWN]

@@ -8,7 +8,7 @@ def test_run_subcommand(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "env=chain agent=bps seed=7" in out
-    assert "complete=True" in out
+    assert "complete=True stop_reason=complete" in out
     assert (tmp_path / "chain_bps_s7.csv").exists()
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import procsearch
 from procsearch.core import (
     ContractViolation, Demonstration, Sketch, read_demo_file,
     record_demonstration, spans_from_lengths, write_demo_file,
@@ -129,3 +135,12 @@ def test_spans_from_lengths():
     assert spans_from_lengths([3, 1, 2]) == ((0, 3), (3, 4), (4, 6))
     with pytest.raises(ValueError):
         spans_from_lengths([1, 0])
+
+
+def test_import_loads_no_numpy():
+    # the library depends on the standard library alone
+    src = str(Path(procsearch.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, procsearch; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

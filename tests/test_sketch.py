@@ -369,6 +369,8 @@ def test_backtracks_restore_what_a_fresh_pool_reaches(labels, ops, horizon, n_ac
        st.lists(st.integers(0, 2), min_size=2, max_size=20),
        st.sampled_from((4, 20)), st.integers(1, 4))
 @example(["b0", "b0", "b1"], [1, 1, 2, 1, 1, 2, 0], 20, 4)
+# repeats that open the run while the first occurrence lies in a closed region
+@example(["b0", "b3", "b1", "b0", "b1"], [2, 1, 0, 2, 0, 0, 0], 20, 3)
 def test_branch_matches_the_scan_every_match_oracle(labels, plan, horizon, n_active):
     pool = SketchPool(Sketch(tuple(labels)), horizon=horizon, n_active=n_active)
     for t in range(1, len(plan) + 1):
