@@ -53,7 +53,8 @@ def main(argv=None) -> int:
             config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
             record = run(config)
             print(f"env={config.env} agent={config.agent} seed={config.seed} "
-                  f"episodes={record.episodes} steps={record.total_steps} "
+                  f"episodes={record.episodes} episodes_run={len(record.rows)} "
+                  f"steps={record.total_steps} "
                   f"backtracks={record.backtracks} complete={record.complete} "
                   f"stop_reason={record.stop_reason}")
             return 0

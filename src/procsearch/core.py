@@ -142,23 +142,29 @@ def write_demo_file(demo: Demonstration, n_actions: int) -> str:
 
 def read_demo_file(text: str) -> tuple[Demonstration, int]:
     """Parse the demonstration format; returns (demo, n_actions)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty demonstration file")
-    header = re.fullmatch(r"H=(\d+)\s+A=(\d+)", lines[0].strip())
+    (_, head), body = lines[0], lines[1:]
+    header = re.fullmatch(r"H=(\d+)\s+A=(\d+)", head.strip())
     if header is None:
-        raise ValueError(f"bad header line (want H=<int> A=<int>): {lines[0]!r}")
+        raise ValueError(f"bad header line (want H=<int> A=<int>): {head!r}")
     h, a = int(header[1]), int(header[2])
     if a < 1:
-        raise ValueError(f"bad header line (need A >= 1): {lines[0]!r}")
+        raise ValueError(f"bad header line (need A >= 1): {head!r}")
     sketch = None
-    body = lines[1:]
-    if body and body[-1].split()[0] == "SKETCH":
-        sketch = Sketch(tuple(body[-1].split()[1:]))
-        body = body[:-1]
+    if body and body[-1][1].split()[0] == "SKETCH":
+        n, ln = body.pop()
+        labels = ln.split()[1:]
+        if not labels:
+            raise ValueError(f"line {n}: sketch trailer names no labels: {ln!r}")
+        sketch = Sketch(tuple(labels))
+    for n, ln in body:
+        if ln.split() != [ln]:
+            raise ValueError(f"line {n}: token not on one line by itself: {ln!r}")
     if len(body) != h:
         raise ValueError(f"header says H={h} but file has {len(body)} tokens")
-    return Demonstration(tuple(intern_token(t) for t in body), sketch), a
+    return Demonstration(tuple(intern_token(ln) for _, ln in body), sketch), a
 
 
 @dataclass(frozen=True)

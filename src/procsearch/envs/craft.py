@@ -4,7 +4,10 @@ workshop, build a raft to cross water, pick up gems.
 Map legend: `#` wall, `~` water, `W` wood, `G` gem, `K` workshop, `I` island,
 `@` agent, `.` empty. The observation token is a canonical serialization of
 (position, inventory, grid), so equal tokens imply equal latent state and
-the observation space is Markov.
+the observation space is Markov. Only position changes on most steps, so
+the env keeps the `|inventory|grid` tail of the token and rebuilds it at
+reset and when a `use` changes the grid or the inventory; a step formats
+the position in front of it.
 
 Two shipped tasks: Island (collect three woods, craft planks, raft across to
 the island; repeated subtask structure) and Gem (short errand with no
@@ -62,11 +65,13 @@ class GridCraftEnv(Env):
         self.grid = [row[:] for row in self._grid0]
         self.pos = self._start
         self.inventory: Counter = Counter()
+        self._refresh_tail()
 
     def _reset(self) -> Obs:
         self.grid = [row[:] for row in self._grid0]
         self.pos = self._start
         self.inventory = Counter()
+        self._refresh_tail()
         return self._token()
 
     def _passable(self, r: int, c: int) -> bool:
@@ -113,6 +118,8 @@ class GridCraftEnv(Env):
         # a pure function of state and action, which keeps replays identical).
         if a == USE:
             effective = self._interact()
+            if effective:
+                self._refresh_tail()
         else:
             dr, dc = _MOVES[a]
             r, c = self.pos[0] + dr, self.pos[1] + dc
@@ -122,10 +129,13 @@ class GridCraftEnv(Env):
         tok = self._token()
         return tok if effective else f"{tok}|no:{ACTION_NAMES[a]}"
 
-    def _token(self) -> Obs:
+    def _refresh_tail(self) -> None:
         inv = "+".join(f"{k}:{v}" for k, v in sorted(self.inventory.items()) if v) or "-"
         rows = "/".join("".join(row) for row in self.grid)
-        return f"{self.pos[0]},{self.pos[1]}|{inv}|{rows}"
+        self._tail = f"|{inv}|{rows}"
+
+    def _token(self) -> Obs:
+        return f"{self.pos[0]},{self.pos[1]}{self._tail}"
 
 
 ISLAND_MAP = """\

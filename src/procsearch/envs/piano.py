@@ -10,6 +10,10 @@ several hand positions.
 
 The shipped task plays a 64-note piece assembled from five melodic figures,
 several of which repeat back to back.
+
+Stepping is one lookup: the 24 x 4 (wrist, thumb) hands are numbered, and a
+transition table built once at import maps each (hand, action) to the next
+hand and the interned token it emits, so a step builds no string.
 """
 
 from __future__ import annotations
@@ -25,10 +29,40 @@ THUMB_MIN = -3
 SILENCE = intern_token("silence")
 
 _LETTERS = ("C", "D", "E", "F", "G", "A", "B")
+_N_THUMB = 1 - THUMB_MIN  # thumb offsets 0, -1, ..., THUMB_MIN
 
 
 def key_name(k: int) -> str:
     return f"{_LETTERS[k % 7]}{3 + k // 7}"
+
+
+NOTES = tuple(intern_token(key_name(k)) for k in range(N_KEYS))
+
+
+def _hand(wrist: int, thumb: int) -> int:
+    return wrist * _N_THUMB - thumb
+
+
+def _move(wrist: int, thumb: int, a: Action) -> tuple[int, Obs]:
+    """(next hand, token) for action `a` from the hand (wrist, thumb)."""
+    if a <= PRESS_5:
+        offset = thumb if a == PRESS_1 else a  # finger k sits k - 1 keys up
+        return _hand(wrist, thumb), NOTES[min(max(wrist + offset, 0), N_KEYS - 1)]
+    if a == WRIST_UP:
+        wrist = min(wrist + 1, N_KEYS - 1)
+    elif a == WRIST_DOWN:
+        wrist = max(wrist - 1, 0)
+    elif a == THUMB_UP:
+        thumb = min(thumb + 1, 0)
+    else:
+        thumb = max(thumb - 1, THUMB_MIN)
+    return _hand(wrist, thumb), SILENCE
+
+
+# _TRANS[hand][a] -> (next hand, token); hands are numbered by _hand
+_TRANS = tuple(
+    tuple(_move(hand // _N_THUMB, -(hand % _N_THUMB), a) for a in range(len(ACTION_NAMES)))
+    for hand in range(N_KEYS * _N_THUMB))
 
 
 class PianoEnv(Env):
@@ -37,31 +71,26 @@ class PianoEnv(Env):
 
     def __init__(self, start_wrist: int = 10):
         super().__init__()
+        if start_wrist not in range(N_KEYS):
+            raise ValueError(f"start_wrist must be in 0..{N_KEYS - 1}, got {start_wrist!r}")
         self.start_wrist = start_wrist
-        self.wrist = start_wrist
-        self.thumb = 0
+        self._hand = _hand(start_wrist, 0)
+
+    @property
+    def wrist(self) -> int:
+        return self._hand // _N_THUMB
+
+    @property
+    def thumb(self) -> int:
+        return -(self._hand % _N_THUMB)
 
     def _reset(self) -> Obs:
-        self.wrist = self.start_wrist
-        self.thumb = 0
+        self._hand = _hand(self.start_wrist, 0)
         return SILENCE
-
-    def _pressed_key(self, finger: int) -> int:
-        offset = self.thumb if finger == 1 else finger - 1
-        return min(max(self.wrist + offset, 0), N_KEYS - 1)
 
     def _step(self, a: Action) -> Obs:
-        if a <= PRESS_5:
-            return intern_token(key_name(self._pressed_key(a + 1)))
-        if a == WRIST_UP:
-            self.wrist = min(self.wrist + 1, N_KEYS - 1)
-        elif a == WRIST_DOWN:
-            self.wrist = max(self.wrist - 1, 0)
-        elif a == THUMB_UP:
-            self.thumb = min(self.thumb + 1, 0)
-        else:
-            self.thumb = max(self.thumb + -1, THUMB_MIN)
-        return SILENCE
+        self._hand, tok = _TRANS[self._hand][a]
+        return tok
 
 
 # Melodic figures (fixed action sequences; notes depend on where the hand is)

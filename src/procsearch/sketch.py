@@ -224,18 +224,18 @@ class Hypothesis:
         site = self._repeat_site()
         if site is None:
             return None
-        _, _, _, _, cap, _, mid_min, lo_rep, n_rep = site
+        _, _, _, lo, cap, _, mid_min, lo_rep, n_rep = site
         t = self.consumed
         r_hi = t - lo_rep
         if r_hi >= cap:
             # a region-buried first occurrence is only reasoned about while
             # the in-progress repeat could still fit the region entirely
             return None
-        for r in range(r_hi, 0, -1):
+        # the first window of length r + 1 is non-empty exactly for r up to
+        # here; its region bound, r <= hi_base - 1 - lo, follows from r < cap
+        for r in range(min(r_hi, (t - mid_min - 1 - lo) // 2), 0, -1):
             s2 = t - r
             window = self._first_window(site, s2, r + 1)
-            if window is None:
-                continue
             p = pb.find(pb[s2:t], window[0], window[1] + r)
             if p != -1:
                 return pb[p + r], s2 - mid_min - p, n_rep

@@ -3,8 +3,10 @@
 Each one is the plain, slow form of something the library computes
 incrementally: R-max replans after every new edge and UCB scans a token's
 whole row on every choice, the repeat suggestion scans every candidate, the
-hypothesis checks replay an alignment against the whole plan, and sketch
-branching tries every match of the repeated content in its window.
+hypothesis checks replay an alignment against the whole plan, the
+optimistic claim probes every repeat length, sketch branching tries every
+match of the repeated content in its window, and the piano and craft
+environments compute each observation from scratch.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from procsearch.baselines import _TokenTable, _tabular_learn
-from procsearch.core import Action, Demonstration, Env
+from procsearch.core import Action, Demonstration, Env, Obs, intern_token
+from procsearch.envs.piano import (
+    N_KEYS, PRESS_5, SILENCE, THUMB_MIN, THUMB_UP, WRIST_DOWN, WRIST_UP, key_name,
+)
 from procsearch.search import LearnReport
 from procsearch.sketch import Hypothesis
 
@@ -173,3 +178,53 @@ def branch_scan_every_match(pool, parent, pb: bytes) -> list[Hypothesis]:
                     break
             p = pb.find(content, p + 1, end)
     return children
+
+
+def optimistic_claim_every_r(h, pb: bytes):
+    """Oracle for `Hypothesis.optimistic_claim`: probes the first window of
+    every repeat length r from the longest down, where the library starts at
+    the longest r whose window is non-empty."""
+    site = h._repeat_site()
+    if site is None:
+        return None
+    _, _, _, _, cap, _, mid_min, lo_rep, n_rep = site
+    t = h.consumed
+    r_hi = t - lo_rep
+    if r_hi >= cap:
+        # a region-buried first occurrence is only reasoned about while
+        # the in-progress repeat could still fit the region entirely
+        return None
+    for r in range(r_hi, 0, -1):
+        s2 = t - r
+        window = h._first_window(site, s2, r + 1)
+        if window is None:
+            continue
+        p = pb.find(pb[s2:t], window[0], window[1] + r)
+        if p != -1:
+            return pb[p + r], s2 - mid_min - p, n_rep
+    return None
+
+
+def piano_step(wrist: int, thumb: int, a: Action) -> tuple[int, int, Obs]:
+    """Oracle for the piano transition table: (wrist, thumb, token) after
+    action `a`, computed by the hand's arithmetic."""
+    if a <= PRESS_5:
+        finger = a + 1
+        offset = thumb if finger == 1 else finger - 1
+        return wrist, thumb, intern_token(key_name(min(max(wrist + offset, 0), N_KEYS - 1)))
+    if a == WRIST_UP:
+        wrist = min(wrist + 1, N_KEYS - 1)
+    elif a == WRIST_DOWN:
+        wrist = max(wrist - 1, 0)
+    elif a == THUMB_UP:
+        thumb = min(thumb + 1, 0)
+    else:
+        thumb = max(thumb + -1, THUMB_MIN)
+    return wrist, thumb, SILENCE
+
+
+def craft_token(pos, inventory, grid) -> Obs:
+    """Oracle for `GridCraftEnv._token`: the whole state serialized afresh."""
+    inv = "+".join(f"{k}:{v}" for k, v in sorted(inventory.items()) if v) or "-"
+    rows = "/".join("".join(row) for row in grid)
+    return f"{pos[0]},{pos[1]}|{inv}|{rows}"

@@ -9,7 +9,18 @@ def test_run_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "env=chain agent=bps seed=7" in out
     assert "complete=True stop_reason=complete" in out
-    assert (tmp_path / "chain_bps_s7.csv").exists()
+    csv_rows = (tmp_path / "chain_bps_s7.csv").read_text().splitlines()[1:]
+    assert f"episodes={len(csv_rows)} episodes_run={len(csv_rows)} " in out
+
+
+def test_run_line_shows_episodes_run_beside_the_censored_count(capsys):
+    # the tabular agents reach a fixed point on aliased piano after 6 episodes
+    rc = main(["run", "--env", "piano", "--agent", "rmax_plus", "--seed", "0",
+               "--max-episodes", "500"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "episodes=500 episodes_run=6 " in out
+    assert "complete=False stop_reason=fixed_point" in out
 
 
 def test_run_unknown_env_exits_nonzero(capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,12 @@ def test_demo_file_bad_inputs():
     for header in ("5 3", "H=1 A=2 junk"):
         with pytest.raises(ValueError, match=repr(header)):
             read_demo_file(f"{header}\nz1\n")
+    # a token line is one word, as write_demo_file insists; lines count from 1
+    for line in ("z1 z2", "  z1", "z1\t"):
+        with pytest.raises(ValueError, match=f"line 3: .*{re.escape(repr(line))}"):
+            read_demo_file(f"H=2 A=1\nz0\n{line}\n")
+    with pytest.raises(ValueError, match=r"line 4: .*'SKETCH  '"):
+        read_demo_file("H=1 A=1\n\nz1\nSKETCH  \n")
     with pytest.raises(ValueError):
         write_demo_file(Demonstration(("two words",)), 2)
     with pytest.raises(ValueError):

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from procsearch.envs.craft import (
-    DOWN, MapError, USE, GridCraftEnv, make_gem_task, make_island_task,
+    ACTION_NAMES, DOWN, GEM_MAP, ISLAND_MAP, MapError, USE, GridCraftEnv,
+    make_gem_task, make_island_task,
 )
+from tests.oracles import craft_token
 
 
 def test_minimal_map_and_agent_position():
@@ -51,9 +53,7 @@ def test_empty_use_is_tagged_noop():
 def test_reset_token_encodes_initial_map():
     env = GridCraftEnv("...\n.@.\n...")
     tok = env.reset()
-    assert tok == env._token()
-    assert "..././/..." or True  # the token is the canonical serialization
-    assert tok.startswith("1,1|-|")
+    assert tok == env._token() == "1,1|-|.../.../..."
 
 
 def _check_task(task, expect_h):
@@ -138,3 +138,25 @@ def test_gridcraft_raft_requirements():
     assert env.inventory["plank"] == 0 and env.inventory["wood"] == 0
     env.step(2)  # left onto water, passable with raft
     assert env.pos == (1, 0)
+
+
+# three woods and a workshop above water: random play builds rafts and swims
+RAFT_MAP = "KWW\n.@W\n~~~\n.I."
+
+
+@pytest.mark.parametrize("map_text", [ISLAND_MAP, GEM_MAP, RAFT_MAP], ids=["island", "gem", "raft"])
+def test_cached_tail_matches_a_fresh_serialization(map_text):
+    env = GridCraftEnv(map_text)
+    rng = random.Random(0)
+    changes = 0
+    for _ in range(40):
+        assert env.reset() == craft_token(env.pos, env.inventory, env.grid)
+        for _ in range(40):
+            a = rng.randrange(env.n_actions)
+            before = (dict(env.inventory), [row[:] for row in env.grid])
+            tok = env.step(a)
+            want = craft_token(env.pos, env.inventory, env.grid)
+            assert env._token() == want
+            assert tok in (want, f"{want}|no:{ACTION_NAMES[a]}")
+            changes += before != (dict(env.inventory), env.grid)
+    assert changes > 0

@@ -1,7 +1,12 @@
+import random
+
+import pytest
+
 from procsearch.envs.piano import (
-    PIECE, PianoEnv, SILENCE, THUMB_DOWN, WRIST_UP,
+    N_KEYS, PIECE, PianoEnv, SILENCE, THUMB_DOWN, THUMB_MIN, WRIST_UP,
     key_name, make_piano_task, notes_only_view,
 )
+from tests.oracles import piano_step
 
 
 def test_pinned_statistics():
@@ -69,3 +74,36 @@ def test_demo_realizable_and_segments_fixed():
 def test_demo_is_aliased():
     demo = make_piano_task().demo()
     assert len(set(demo.observations)) < demo.horizon
+
+
+def test_table_matches_the_arithmetic_on_every_hand_and_action():
+    for wrist in range(N_KEYS):
+        for thumb in range(THUMB_MIN, 1):
+            for a in range(PianoEnv.n_actions):
+                env = PianoEnv(start_wrist=wrist)
+                env.reset()
+                for _ in range(-thumb):
+                    env.step(THUMB_DOWN)
+                assert (env.wrist, env.thumb) == (wrist, thumb)
+                tok = env.step(a)
+                assert (env.wrist, env.thumb, tok) == piano_step(wrist, thumb, a)
+
+
+def test_table_matches_the_arithmetic_on_random_sequences():
+    rng = random.Random(0)
+    for start in range(N_KEYS):
+        env = PianoEnv(start_wrist=start)
+        for _ in range(10):
+            assert env.reset() == SILENCE
+            wrist, thumb = start, 0
+            for _ in range(60):
+                a = rng.randrange(env.n_actions)
+                wrist, thumb, want = piano_step(wrist, thumb, a)
+                assert env.step(a) == want
+                assert (env.wrist, env.thumb) == (wrist, thumb)
+
+
+@pytest.mark.parametrize("start", [-1, N_KEYS, 100])
+def test_start_wrist_off_the_keyboard_is_rejected(start):
+    with pytest.raises(ValueError, match=repr(start)):
+        PianoEnv(start_wrist=start)

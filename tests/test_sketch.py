@@ -9,7 +9,9 @@ from procsearch.envs import make_task
 from procsearch.envs.scripted import ScriptedEnv
 from procsearch.search import UniformSuggester, learn
 from procsearch.sketch import Hypothesis, SketchPool, SketchPoolSuggester
-from tests.oracles import branch_scan_every_match, exact_segments, is_consistent
+from tests.oracles import (
+    branch_scan_every_match, exact_segments, is_consistent, optimistic_claim_every_r,
+)
 
 E, F, G, H_ACT, I_ACT = 0, 1, 2, 3, 4
 
@@ -381,3 +383,5 @@ def test_branch_matches_the_scan_every_match_oracle(labels, plan, horizon, n_act
             got = [h.key() for h in pool.branch(parent, pb)]
             pool.seen = set()
             assert got == [h.key() for h in branch_scan_every_match(pool, parent, pb)]
+            # the claim's r loop skips only repeat lengths whose window is empty
+            assert parent.optimistic_claim(pb) == optimistic_claim_every_r(parent, pb)
