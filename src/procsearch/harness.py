@@ -38,6 +38,9 @@ class RunConfig(AgentOptions):
             raise ConfigError(f"unknown environment {self.env!r}; known: {sorted(ENV_REGISTRY)}")
         if self.agent not in AGENT_NAMES:
             raise ConfigError(f"unknown agent {self.agent!r}; known: {sorted(AGENT_NAMES)}")
+        if self.seed < 0:
+            # random.Random(-s) seeds like Random(s): a negative seed repeats a run
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_episodes < 1:
             raise ConfigError("max_episodes must be >= 1")
         if self.n_hypotheses < 1:
@@ -211,8 +214,14 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
           jobs: int = 1) -> SweepResult:
     if not configs:
         raise ConfigError("sweep needs at least one run config")
+    labels = set()
     for c in configs:
         c.validate()
+        label = c.label()  # names the run's CSV
+        if label in labels:
+            raise ConfigError(f"two sweep runs share the label {label!r}, so one "
+                              f"run's CSV would overwrite the other's")
+        labels.add(label)
     out_path = Path(out_dir) if out_dir else None
     if out_path:
         out_path.mkdir(parents=True, exist_ok=True)

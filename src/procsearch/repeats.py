@@ -143,9 +143,18 @@ class RepeatPoolSuggester(ActionSuggester):
 
     def __init__(self):
         self.store = RepeatStore()
+        self._ranked: tuple[bytes | None, list[Action]] = (None, [])
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
-        for a in self.store.suggest_ranked(bytes(plan.confirmed)):
+        """Best-ranked repeat continuation outside `excluded`. The ranking is
+        keyed on the plan bytes: `update` and `truncate` keep the store a
+        function of the plan, so it is computed once per plan state."""
+        pb = bytes(plan.confirmed)
+        key, ranked = self._ranked
+        if key != pb:
+            ranked = self.store.suggest_ranked(pb)
+            self._ranked = pb, ranked
+        for a in ranked:
             if a not in excluded:
                 return a
         return None

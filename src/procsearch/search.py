@@ -11,6 +11,10 @@ one step and bans the unrolled action at that position.
 
 Action selection is pluggable: BPS uses a uniform suggester, the smarter
 agents plug in sketch-hypothesis, repeat-mining or oracle-aligned suggesters.
+
+Every step of an episode, replay and burn-out included, goes through
+`env.step`, so the environment's contract checks see each one; a burn-out
+action is drawn exactly as `rng.randrange(n_actions)` would draw it.
 """
 
 from __future__ import annotations
@@ -120,40 +124,46 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
     mismatch, which burns out the rest of the episode with random actions
     (or until completion). Signals a dead end without acting if the
     frontier has no candidate actions left.
+
+    Every step, replay and burn-out included, is an `env.step` call. A
+    burn-out action is `rng.randrange(n_actions)` unrolled: the same
+    `getrandbits` draws, rejecting values of n_actions or more.
     """
     horizon = demo.horizon
     if plan.frontier_exhausted():
         return EpisodeResult(plan.frontier, 0, False, dead_end=True)
 
+    step = env.step
     env.reset()
-    steps = 0
     for a in plan.confirmed:
-        env.step(a)
-        steps += 1
+        step(a)
+    steps = start = len(plan.confirmed)  # at the frontier, steps == frontier
 
-    confirmed_any = False
-    while plan.frontier < horizon:
-        t = plan.frontier
+    n = plan.n_actions
+    observations, failed, banned = demo.observations, plan.failed, plan.banned
+    suggest = suggester.suggest
+    while steps < horizon:
         # not exhausted: checked above, and each confirmation opens empty ledgers
-        excluded = plan.excluded()
-        a = suggester.suggest(plan, excluded)
+        excluded = failed[steps] | banned[steps]
+        a = suggest(plan, excluded)
         if a is None or a in excluded:
-            candidates = [x for x in range(plan.n_actions) if x not in excluded]
+            candidates = [x for x in range(n) if x not in excluded]
             a = candidates[rng.randrange(len(candidates))]
-        obs = env.step(a)
-        steps += 1
-        if obs == demo.observations[t]:
+        if step(a) == observations[steps]:
             plan.confirm(a)
-            confirmed_any = True
+            steps += 1
             suggester.on_confirmed(plan)
         else:
             plan.reject(a)
             suggester.on_failed(plan, a)
-            while steps < horizon:
-                env.step(rng.randrange(plan.n_actions))
-                steps += 1
-            break
-    return EpisodeResult(plan.frontier, steps, confirmed_any, dead_end=False)
+            getrandbits, k = rng.getrandbits, n.bit_length()
+            for _ in range(steps + 1, horizon):
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                step(r)
+            return EpisodeResult(steps, horizon, steps > start, dead_end=False)
+    return EpisodeResult(steps, steps, steps > start, dead_end=False)
 
 
 def backtrack(plan: PartialPlan, suggester: ActionSuggester) -> None:

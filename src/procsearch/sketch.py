@@ -50,6 +50,7 @@ replaying the plan from the start.
 from __future__ import annotations
 
 from functools import cache
+from operator import itemgetter
 
 from .core import Action, Sketch
 from .search import ActionSuggester, PartialPlan
@@ -292,6 +293,8 @@ class SketchPool:
         # `_plan`, as (copies of the active hypotheses, len(frozen))
         self._plan = b""
         self.checkpoints: list[tuple[list[Hypothesis], int]] = [([self.blank._shell()], 0)]
+        # select's ranking: ((the active list it ranks, plan bytes), entries)
+        self._ranked: tuple[tuple[list[Hypothesis] | None, bytes], list] = ((None, b""), [])
 
     @staticmethod
     def _rank(h: Hypothesis, got) -> tuple:
@@ -499,13 +502,23 @@ class SketchPool:
     def select(self, actions, excluded: set[Action]):
         """Best-ranked eligible active hypothesis and its suggestion.
 
-        Eligible = suggests an action outside `excluded`.
+        Eligible = suggests an action outside `excluded`. The active
+        hypotheses' proposals are ranked once per plan state, keyed on the
+        `active` list object and the plan bytes: the pool only ever replaces
+        that list, never changes it in place, and a hypothesis changes only
+        while a confirmation builds the next list.
         """
         pb = bytes(actions)
-        best = min(((self._rank(h, got), h, got[0]) for h in self.active
-                    if (got := h.proposal(pb, self.optimistic)) is not None
-                    and got[0] not in excluded), default=None)
-        return None if best is None else best[1:]
+        key, ranked = self._ranked
+        if key[0] is not self.active or key[1] != pb:
+            ranked = sorted(((self._rank(h, got), h, got[0]) for h in self.active
+                             if (got := h.proposal(pb, self.optimistic)) is not None),
+                            key=itemgetter(0))
+            self._ranked = (self.active, pb), ranked
+        for _, h, a in ranked:
+            if a not in excluded:
+                return h, a
+        return None
 
 
 class SketchPoolSuggester(ActionSuggester):

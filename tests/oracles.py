@@ -5,11 +5,15 @@ incrementally: R-max replans after every new edge and UCB scans a token's
 whole row on every choice, the repeat suggestion scans every candidate, the
 hypothesis checks replay an alignment against the whole plan, the
 optimistic claim probes every repeat length, sketch branching tries every
-match of the repeated content in its window, and the piano and craft
+match of the repeated content in its window, sketch selection ranks every
+active hypothesis on every call, the episode loop reads the plan through its
+properties and burns out with `rng.randrange`, and the piano and craft
 environments compute each observation from scratch.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -18,7 +22,9 @@ from procsearch.core import Action, Demonstration, Env, Obs, intern_token
 from procsearch.envs.piano import (
     N_KEYS, PRESS_5, SILENCE, THUMB_MIN, THUMB_UP, WRIST_DOWN, WRIST_UP, key_name,
 )
-from procsearch.search import LearnReport
+from procsearch.search import (
+    ActionSuggester, EpisodeResult, LearnReport, PartialPlan,
+)
 from procsearch.sketch import Hypothesis
 
 _UNKNOWN = -1  # next-state marker for an action not yet tried
@@ -203,6 +209,56 @@ def optimistic_claim_every_r(h, pb: bytes):
         if p != -1:
             return pb[p + r], s2 - mid_min - p, n_rep
     return None
+
+
+def select_scan(pool, actions, excluded: set[Action]):
+    """Oracle for `SketchPool.select`: ranks every active hypothesis's
+    proposal on every call, where the library ranks once per plan state."""
+    pb = bytes(actions)
+    best = min(((pool._rank(h, got), h, got[0]) for h in pool.active
+                if (got := h.proposal(pb, pool.optimistic)) is not None
+                and got[0] not in excluded), default=None)
+    return None if best is None else best[1:]
+
+
+def run_episode_scan(env: Env, demo: Demonstration, plan: PartialPlan,
+                     suggester: ActionSuggester, rng: random.Random) -> EpisodeResult:
+    """Oracle for `search.run_episode`: the loop that reads the frontier and
+    its ledgers through the plan's properties on every step and burns out
+    with `rng.randrange`."""
+    horizon = demo.horizon
+    if plan.frontier_exhausted():
+        return EpisodeResult(plan.frontier, 0, False, dead_end=True)
+
+    env.reset()
+    steps = 0
+    for a in plan.confirmed:
+        env.step(a)
+        steps += 1
+
+    confirmed_any = False
+    while plan.frontier < horizon:
+        t = plan.frontier
+        # not exhausted: checked above, and each confirmation opens empty ledgers
+        excluded = plan.excluded()
+        a = suggester.suggest(plan, excluded)
+        if a is None or a in excluded:
+            candidates = [x for x in range(plan.n_actions) if x not in excluded]
+            a = candidates[rng.randrange(len(candidates))]
+        obs = env.step(a)
+        steps += 1
+        if obs == demo.observations[t]:
+            plan.confirm(a)
+            confirmed_any = True
+            suggester.on_confirmed(plan)
+        else:
+            plan.reject(a)
+            suggester.on_failed(plan, a)
+            while steps < horizon:
+                env.step(rng.randrange(plan.n_actions))
+                steps += 1
+            break
+    return EpisodeResult(plan.frontier, steps, confirmed_any, dead_end=False)
 
 
 def piano_step(wrist: int, thumb: int, a: Action) -> tuple[int, int, Obs]:

@@ -155,6 +155,23 @@ def test_summary_matches_recomputation_from_csvs(tmp_path):
     assert result.summary_rows[0]["mean_episodes"] == pytest.approx(mean)
 
 
+def test_sweep_rejects_runs_that_share_a_label(tmp_path):
+    # the label leaves n_hypotheses out, so both runs would write one CSV
+    spec = ("envs=gem\nagents=plots_sketch\nn_hypotheses=1\n\n"
+            "envs=gem\nagents=plots_sketch\nn_hypotheses=4\n")
+    with pytest.raises(ConfigError, match="gem_plots_sketch_s0"):
+        sweep(parse_sweep_spec(spec), out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())  # rejected before any run
+
+
+def test_negative_seed_rejected():
+    # random.Random(-3) seeds like Random(3): the two runs would be one
+    with pytest.raises(ConfigError, match="seed"):
+        run(RunConfig(env="chain", agent="bps", seed=-3))
+    with pytest.raises(ConfigError, match="seed"):
+        sweep(parse_sweep_spec("envs=chain\nagents=bps\nseeds=-3,3\n"))
+
+
 def test_sweep_empty_config_list_rejected():
     with pytest.raises(ConfigError):
         sweep([])

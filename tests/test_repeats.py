@@ -1,13 +1,14 @@
 import random
 from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from procsearch.core import record_demonstration
 from procsearch.envs.scripted import ScriptedEnv
 from procsearch.repeats import RepeatPoolSuggester, RepeatStore, brute_force_repeat_counts
-from procsearch.search import UniformSuggester, learn
+from procsearch.search import PartialPlan, UniformSuggester, backtrack, learn
 from tests.oracles import brute_force_suggest_ranked
+from tests.test_sketch import EXCLUDED_SETS
 
 E, F, G = 0, 1, 2
 DOWN, LEFT = 3, 4
@@ -140,3 +141,31 @@ def test_confirm_and_backtrack_match_the_oracles(data):
                 sug.on_confirmed(plan)
                 check()
     check(bytes(plan.confirmed[:k]) for k in range(len(plan.confirmed)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=5),
+       # (-2: confirm the motif, -1: backtrack one step, else an action to
+       # confirm; whether to suggest)
+       st.lists(st.tuples(st.integers(-2, 2), st.booleans()), max_size=40))
+# a truncate, then regrowth to the same length with other actions
+@example([0, 1], [(-2, False), (-2, False), (-2, True), (-1, False), (2, True)])
+def test_suggest_matches_a_fresh_ranking_at_every_plan_state(motif, ops):
+    """The cached ranking answers like a store counted afresh from the plan,
+    whether or not suggest ran at the states in between."""
+    sug = RepeatPoolSuggester()
+    plan = PartialPlan(3)
+    for op, check in ops:
+        if op == -1:
+            if plan.confirmed:
+                backtrack(plan, sug)
+        else:
+            for a in motif if op == -2 else [op]:
+                plan.confirm(a)
+                sug.on_confirmed(plan)
+        if check:
+            pb = bytes(plan.confirmed)
+            ranked = fed_store(pb).suggest_ranked(pb)
+            for excluded in EXCLUDED_SETS:
+                want = next((a for a in ranked if a not in excluded), None)
+                assert sug.suggest(plan, excluded) == want

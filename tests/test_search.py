@@ -1,15 +1,19 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from procsearch.core import Demonstration, record_demonstration
+from procsearch import search
+from procsearch.core import Demonstration, Env, record_demonstration
 from procsearch.envs.scripted import (
-    make_chain, make_markov_scripted, random_aliased_env, trap_env,
+    ScriptedEnv, make_chain, make_markov_scripted, random_aliased_env, trap_env,
 )
 from procsearch.search import (
     ActionSuggester, PartialPlan, UniformSuggester, UnsatisfiableDemo,
     backtrack, learn, replay_matches, run_episode,
 )
+from tests.oracles import run_episode_scan
 from tests.test_scripted_envs import enumerate_valid_plans
 
 
@@ -175,3 +179,65 @@ def test_rows_track_progress_monotonically():
     matched = [m for _, _, m, _, _ in rep.rows]
     assert matched == sorted(matched)  # no backtracks on a Markov env
     assert rep.rows[-1][4] is True
+
+
+class RecordingEnv(Env):
+    """Steps `inner` and logs every reset and every (action, observation)."""
+
+    def __init__(self, inner: Env):
+        super().__init__()
+        self.inner, self.n_actions, self.log = inner, inner.n_actions, []
+
+    def _reset(self):
+        obs = self.inner.reset()
+        self.log.append((None, obs))
+        return obs
+
+    def _step(self, a):
+        obs = self.inner.step(a)
+        self.log.append((a, obs))
+        return obs
+
+
+class MixedSuggester(ActionSuggester):
+    """Per call, from its own RNG: no suggestion, an excluded action, or any
+    action at all."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def suggest(self, plan, excluded):
+        kind = self.rng.randrange(3)
+        if kind == 0:
+            return None
+        if kind == 1 and excluded:
+            return sorted(excluded)[self.rng.randrange(len(excluded))]
+        return self.rng.randrange(plan.n_actions)
+
+
+@st.composite
+def search_tasks(draw):
+    """A random aliased automaton or a scripted chain over 1-9 actions."""
+    n_actions = draw(st.integers(1, 9), label="n_actions")
+    horizon = draw(st.integers(1, 12), label="horizon")
+    if draw(st.booleans(), label="aliased"):
+        return random_aliased_env(random.Random(draw(st.integers(0, 2**32))), n_actions, horizon)
+    script = draw(st.lists(st.integers(0, n_actions - 1), min_size=horizon, max_size=horizon))
+    return ScriptedEnv(n_actions, script), tuple(script)
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_tasks(), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_episode_loop_matches_the_scan_oracle(task, seed, suggester_seed):
+    """Whole `learn` runs through the library's episode loop and through the
+    oracle give equal reports, equal env traffic and the same RNG state."""
+    env, script = task
+    demo = record_demonstration(env, script)
+
+    def learn_with(episode):
+        recording, rng = RecordingEnv(env), random.Random(seed)
+        with mock.patch.object(search, "run_episode", episode):
+            report = learn(recording, demo, MixedSuggester(suggester_seed), rng, budget=200)
+        return report, recording.log, rng.getstate()
+
+    assert learn_with(run_episode) == learn_with(run_episode_scan)

@@ -11,6 +11,7 @@ from procsearch.search import UniformSuggester, learn
 from procsearch.sketch import Hypothesis, SketchPool, SketchPoolSuggester
 from tests.oracles import (
     branch_scan_every_match, exact_segments, is_consistent, optimistic_claim_every_r,
+    select_scan,
 )
 
 E, F, G, H_ACT, I_ACT = 0, 1, 2, 3, 4
@@ -364,6 +365,35 @@ def test_backtracks_restore_what_a_fresh_pool_reaches(labels, ops, horizon, n_ac
             assert pool_state(pool) == pool_state(fresh)
             assert pool.active[0] is pool.blank
             assert len(pool.checkpoints) == len(plan) + 1
+
+
+EXCLUDED_SETS = [set(), {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(("b0", "b1", "b2")), min_size=1, max_size=8),
+       # (-1: backtrack one step, else an action to confirm; whether to select)
+       st.lists(st.tuples(st.integers(-1, 2), st.booleans()), max_size=40),
+       st.sampled_from((2, 14)), st.integers(1, 4))
+# the plan returns to a length, and to bytes, that select saw before
+@example(["b1", "b2", "b2"], [(2, False), (2, False), (0, False), (2, True), (-1, False),
+                              (2, False), (1, False), (0, False), (-1, False), (-1, True)], 2, 4)
+def test_select_matches_the_scan_oracle_at_every_plan_state(labels, ops, horizon, n_active):
+    """The cached ranking answers like a fresh scan of the active set after
+    confirmations and backtracks, whether or not select ran in between."""
+    sketch = Sketch(tuple(labels))
+    pool = SketchPool(sketch, horizon=horizon, n_active=n_active)
+    plan = []
+    for op, check in ops:
+        if op >= 0:
+            plan.append(op)
+            pool.on_confirmed(plan)
+        elif plan:
+            plan.pop()
+            pool.rebuild(tuple(plan))
+        if check:
+            for excluded in EXCLUDED_SETS:
+                assert pool.select(plan, excluded) == select_scan(pool, plan, excluded)
 
 
 @settings(max_examples=80, deadline=None)
