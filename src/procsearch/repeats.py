@@ -6,9 +6,8 @@ exactly at the end of the plan need to be (re)counted after each
 confirmation; anything else was already counted when it last matched the
 end, so the counts stay exact overlapping counts. A backtrack takes back
 the occurrences that ended at the removed position. Suggestions follow the
-most-repeated candidates whose prefix matches the current plan suffix: the
-candidates form a prefix index (a trie), so a suggestion looks up the
-plan's suffixes in it and visits only the candidates that extend one.
+most-repeated candidates whose prefix matches the current plan suffix,
+found at the ends of equal-count chains by bisecting the counts.
 """
 
 from __future__ import annotations
@@ -32,15 +31,13 @@ class RepeatStore:
 
     `kids` maps a candidate, or a single action (the prefix of a candidate
     of length two), to the candidates one action longer that extend it.
-    Every prefix of a candidate of length two or more repeats at least as
-    often, so it is a candidate too, and a count never rises from a node to
-    its kids.
+    Each substring of length two or more of a candidate repeats as often or
+    more, so it is a candidate too; a count never rises from a node to its kids.
     """
 
     def __init__(self):
         self.counts: dict[bytes, int] = {}
         self.kids: dict[bytes, list[bytes]] = {}
-        self.longest = 0  # no candidate is longer (a high-water mark)
         self.plan = b""  # the plan of the latest update
 
     def update(self, plan_bytes: bytes) -> None:
@@ -51,9 +48,11 @@ class RepeatStore:
         counted yet occurred at most once before, so it repeats now exactly
         when it occurs earlier. Counts are weakly decreasing in suffix
         length, so the scan stops at the first suffix that does not repeat.
+        Raises ValueError unless `plan_bytes` extends the latest plan.
         """
-        counts = self.counts
-        t = len(plan_bytes)
+        counts, t = self.counts, len(plan_bytes)
+        if plan_bytes[:-1] != self.plan:
+            raise ValueError(f"{t} actions do not extend the latest plan of {len(self.plan)}")
         for ln in range(2, t + 1):
             seq = plan_bytes[t - ln:]
             c = counts.get(seq)
@@ -62,7 +61,6 @@ class RepeatStore:
                     break
                 c = 1
                 self.kids.setdefault(seq[:-1], []).append(seq)
-                self.longest = max(self.longest, ln)
             counts[seq] = c + 1
         self.plan = plan_bytes
 
@@ -93,7 +91,6 @@ class RepeatStore:
         """Count `plan_bytes` from scratch, one action at a time."""
         self.counts.clear()
         self.kids.clear()
-        self.longest = 0
         self.plan = b""
         for t in range(1, len(plan_bytes) + 1):
             self.update(plan_bytes[:t])
@@ -102,39 +99,42 @@ class RepeatStore:
         """Next actions of candidates whose prefix matches the plan suffix,
         best repeat count first; duplicates keep their best rank.
 
-        A candidate continues from its longest prefix that is a plan suffix.
-        The suffixes are looked up longest first, and each one's subtree is
-        walked without entering a suffix already walked, so every candidate
-        is scored at its longest match. The key (-count, -length, candidate)
-        is unique per candidate, so the order does not depend on the walk's.
-        A node that repeats less than its action's best so far is not
-        entered: nothing below it repeats more.
+        A candidate continues from its longest prefix r that is a plan
+        suffix, keyed (-count, -length, candidate). All occurrences of r's
+        kid k go on alike while a candidate repeats as often as k, and counts
+        never rise, so the best candidate through k, that chain's end, is
+        bisected from the last k in the plan after trying the plan's end.
+        Candidates past a node that is a longer suffix of `plan_bytes` (none
+        is, on the latest plan) continue from it, so the chain is cut there.
+        The r go shortest first, up to the first of length 2+ not repeated.
         """
-        kids, counts = self.kids, self.counts
-        t = len(plan_bytes)
-        walked: set[bytes] = set()
+        kids, counts, plan = self.kids, self.counts, self.plan
+        t, cut = len(plan_bytes), plan_bytes != plan
         best: dict[Action, tuple] = {}
-        for j in range(min(self.longest - 1, t), 0, -1):
+        for j in range(1, t + 1):
             root = plan_bytes[t - j:]
-            stack = kids.get(root)
-            if stack is None:
-                continue
-            walked.add(root)
-            stack = stack[:]
-            while stack:
-                seq = stack.pop()
-                c = counts[seq]
-                key = (-c, -len(seq), seq)
-                a = seq[j]
-                old = best.get(a)
-                if old is None or key < old:
-                    best[a] = key
-                elif c < -old[0]:
-                    continue
-                if seq not in walked:
-                    below = kids.get(seq)
-                    if below is not None:
-                        stack += below
+            if j > 1 and root not in counts:
+                break
+            for k in kids.get(root, ()):
+                c = counts[k]
+                p = plan.rfind(k)
+                e = plan[p:]
+                if counts.get(e) != c:
+                    lo, hi = p + j + 1, len(plan)  # plan[p:lo] has count c, plan[p:hi] not
+                    while lo < hi - 1:
+                        mid = (lo + hi) // 2
+                        if counts.get(plan[p:mid]) == c:
+                            lo = mid
+                        else:
+                            hi = mid
+                    e = plan[p:lo]
+                i = plan_bytes.rfind(k, max(0, t - len(e))) if cut else -1
+                while i != -1 and not e.startswith(plan_bytes[i:]):
+                    i = plan_bytes.rfind(k, 0, i + j)
+                if i != -1:
+                    e = e[:t - i]
+                key = (-c, -len(e), e)
+                best[k[j]] = min(best.get(k[j], key), key)
         return sorted(best, key=best.__getitem__)
 
 

@@ -56,6 +56,9 @@ from .core import Action, Sketch
 from .search import ActionSuggester, PartialPlan
 
 
+_UNSET = object()  # a memo not computed yet
+
+
 @cache
 def _repeats(sketch: tuple[str, ...]) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Each repeated label, in sketch order, with its element indices."""
@@ -71,11 +74,13 @@ class Hypothesis:
     segments, multi-element blocks are ambiguous regions. The open state is
     either mode A (inside element `elem`, `offset` actions consumed of its
     assignment) or an open run starting at element `run_elem` that has
-    absorbed the plan since position `run_pos0`.
+    absorbed the plan since position `run_pos0`. `_site` memoises
+    `_repeat_site` until `advance` moves the alignment on; the pool builds
+    a new hypothesis from a fresh `_shell`, which has no memo yet.
     """
 
     __slots__ = ("sketch", "assigned", "layout", "elem", "offset",
-                 "run_elem", "run_pos0", "consumed", "created")
+                 "run_elem", "run_pos0", "consumed", "created", "_site")
 
     def __init__(self, sketch: tuple[str, ...], assigned: dict, layout: list,
                  consumed: int, created: int = 0):
@@ -88,6 +93,7 @@ class Hypothesis:
         self.offset = 0
         self.run_elem: int | None = None
         self.run_pos0 = 0
+        self._site = _UNSET
 
     @classmethod
     def blank(cls, sketch: tuple[str, ...]) -> "Hypothesis":
@@ -118,6 +124,7 @@ class Hypothesis:
         contradicts the plan and must be eliminated."""
         if self.is_complete:
             return False  # alignment claims the procedure already ended
+        self._site = _UNSET
         if self.run_elem is not None:
             self.consumed += 1
             return True
@@ -172,6 +179,11 @@ class Hypothesis:
         `hi_base - ln` or earlier (None: unconstrained); the elements between
         the occurrences take `mid_min` positions or more; `rep` starts at
         `lo_rep` or later; m occurs `n_rep` times from `rep` on."""
+        if self._site is _UNSET:
+            self._site = self._find_repeat_site()
+        return self._site
+
+    def _find_repeat_site(self):
         run_elem = self.run_elem
         if run_elem is None:
             return None
@@ -293,7 +305,8 @@ class SketchPool:
         # `_plan`, as (copies of the active hypotheses, len(frozen))
         self._plan = b""
         self.checkpoints: list[tuple[list[Hypothesis], int]] = [([self.blank._shell()], 0)]
-        # select's ranking: ((the active list it ranks, plan bytes), entries)
+        # select's ranking: ((the active list it ranks, plan bytes), the
+        # _proposals entries of that list that have a proposal)
         self._ranked: tuple[tuple[list[Hypothesis] | None, bytes], list] = ((None, b""), [])
 
     @staticmethod
@@ -302,6 +315,11 @@ class SketchPool:
         (without a claim, the base score, which a claim never lowers), then
         more assigned labels, then the older hypothesis."""
         return (-(h.score() if got is None else got[1]), -len(h.assigned), h.created)
+
+    def _proposals(self, hypotheses, pb: bytes) -> list[tuple]:
+        """(rank, h, proposal) for each h of `hypotheses`, best rank first."""
+        return sorted(((self._rank(h, got), h, got) for h in hypotheses
+                       for got in [h.proposal(pb, self.optimistic)]), key=itemgetter(0))
 
     def stored_count(self) -> int:
         return len(self.active) + len(self.frozen)
@@ -456,7 +474,8 @@ class SketchPool:
     def on_confirmed(self, actions: list[Action]) -> None:
         """Advance the pool by the newest action of `actions`, which must
         extend the plan of the previous confirmation or rebuild by one, and
-        save the checkpoint of `actions`."""
+        save the checkpoint of `actions`. The proposals that rank the pool
+        also seed `select`'s ranking of the new active set."""
         self.seen = set()
         a = actions[-1]
         pb = bytes(actions)
@@ -469,12 +488,14 @@ class SketchPool:
             new = self.branch(parent, pb)
             self.max_branch_per_parent = max(self.max_branch_per_parent, len(new))
             pool.extend(new)
-        pool.sort(key=lambda h: self._rank(h, h.proposal(pb, self.optimistic)))
+        ranked = self._proposals(pool, pb)
         keep = self.n_active - 1  # the blank permanently holds one slot
-        self.active = [self.blank] + pool[:keep]
+        self.active = [self.blank] + [h for _, h, _ in ranked[:keep]]
         # no suggestion reads a frozen hypothesis: past the cap, drop the newest
-        self.frozen.extend(pool[keep:])
+        self.frozen.extend(h for _, h, _ in ranked[keep:])
         del self.frozen[max(0, self.mem_cap - len(self.active)):]
+        active = sorted(self._proposals([self.blank], pb) + ranked[:keep], key=itemgetter(0))
+        self._ranked = (self.active, pb), [entry for entry in active if entry[2] is not None]
         self._plan = pb
         self.checkpoints.append(([h._shell() for h in self.active], len(self.frozen)))
 
@@ -506,16 +527,16 @@ class SketchPool:
         hypotheses' proposals are ranked once per plan state, keyed on the
         `active` list object and the plan bytes: the pool only ever replaces
         that list, never changes it in place, and a hypothesis changes only
-        while a confirmation builds the next list.
+        while a confirmation builds the next list. `on_confirmed` stores the
+        ranking of the list it builds.
         """
         pb = bytes(actions)
         key, ranked = self._ranked
         if key[0] is not self.active or key[1] != pb:
-            ranked = sorted(((self._rank(h, got), h, got[0]) for h in self.active
-                             if (got := h.proposal(pb, self.optimistic)) is not None),
-                            key=itemgetter(0))
+            ranked = [entry for entry in self._proposals(self.active, pb)
+                      if entry[2] is not None]
             self._ranked = (self.active, pb), ranked
-        for _, h, a in ranked:
+        for _, h, (a, _) in ranked:
             if a not in excluded:
                 return h, a
         return None

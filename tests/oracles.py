@@ -2,13 +2,14 @@
 
 Each one is the plain, slow form of something the library computes
 incrementally: R-max replans after every new edge and UCB scans a token's
-whole row on every choice, the repeat suggestion scans every candidate, the
-hypothesis checks replay an alignment against the whole plan, the
-optimistic claim probes every repeat length, sketch branching tries every
-match of the repeated content in its window, sketch selection ranks every
-active hypothesis on every call, the episode loop reads the plan through its
-properties and burns out with `rng.randrange`, and the piano and craft
-environments compute each observation from scratch.
+whole row on every choice, the repeat suggestion scans every candidate or
+walks the trie below each plan suffix, the hypothesis checks replay an
+alignment against the whole plan, the optimistic claim probes every repeat
+length, sketch branching tries every match of the repeated content in its
+window, sketch selection ranks every active hypothesis on every call, the
+episode loop reads the plan through its properties and burns out with
+`rng.randrange`, and the piano and craft environments compute each
+observation from scratch.
 """
 
 from __future__ import annotations
@@ -125,6 +126,41 @@ def brute_force_suggest_ranked(counts: dict[bytes, int], plan_bytes: bytes) -> l
     return out
 
 
+def suggest_ranked_trie_walk(store, plan_bytes: bytes) -> list[Action]:
+    """Oracle for `RepeatStore.suggest_ranked`: the suffixes are looked up
+    longest first, and each one's subtree is walked without entering a
+    suffix already walked, so every candidate is scored at its longest
+    match. A node that repeats less than its action's best so far is not
+    entered: nothing below it repeats more."""
+    kids, counts = store.kids, store.counts
+    t = len(plan_bytes)
+    longest = max(map(len, counts), default=0)
+    walked: set[bytes] = set()
+    best: dict[Action, tuple] = {}
+    for j in range(min(longest - 1, t), 0, -1):
+        root = plan_bytes[t - j:]
+        stack = kids.get(root)
+        if stack is None:
+            continue
+        walked.add(root)
+        stack = stack[:]
+        while stack:
+            seq = stack.pop()
+            c = counts[seq]
+            key = (-c, -len(seq), seq)
+            a = seq[j]
+            old = best.get(a)
+            if old is None or key < old:
+                best[a] = key
+            elif c < -old[0]:
+                continue
+            if seq not in walked:
+                below = kids.get(seq)
+                if below is not None:
+                    stack += below
+    return sorted(best, key=best.__getitem__)
+
+
 def is_consistent(h, plan_actions) -> bool:
     """Replay hypothesis `h`'s alignment against the plan; the pool keeps its
     active hypotheses consistent incrementally."""
@@ -213,10 +249,11 @@ def optimistic_claim_every_r(h, pb: bytes):
 
 def select_scan(pool, actions, excluded: set[Action]):
     """Oracle for `SketchPool.select`: ranks every active hypothesis's
-    proposal on every call, where the library ranks once per plan state."""
+    proposal on every call, each computed on a fresh copy that holds no
+    memo, where the library ranks once per plan state."""
     pb = bytes(actions)
     best = min(((pool._rank(h, got), h, got[0]) for h in pool.active
-                if (got := h.proposal(pb, pool.optimistic)) is not None
+                if (got := h._shell().proposal(pb, pool.optimistic)) is not None
                 and got[0] not in excluded), default=None)
     return None if best is None else best[1:]
 

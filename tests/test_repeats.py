@@ -1,13 +1,14 @@
 import random
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from procsearch.core import record_demonstration
 from procsearch.envs.scripted import ScriptedEnv
 from procsearch.repeats import RepeatPoolSuggester, RepeatStore, brute_force_repeat_counts
 from procsearch.search import PartialPlan, UniformSuggester, backtrack, learn
-from tests.oracles import brute_force_suggest_ranked
+from tests.oracles import brute_force_suggest_ranked, suggest_ranked_trie_walk
 from tests.test_sketch import EXCLUDED_SETS
 
 E, F, G = 0, 1, 2
@@ -96,8 +97,37 @@ def test_backtrack_rebuild_matches_fresh_store():
     assert sug.store.counts == fresh.counts
 
 
+def test_update_must_extend_the_latest_plan():
+    store = fed_store((E, F, E))
+    with pytest.raises(ValueError, match="5 actions .* latest plan of 3"):
+        store.update(bytes((E, F, E, F, G)))  # skips an update
+    with pytest.raises(ValueError, match="4 actions .* latest plan of 3"):
+        store.update(bytes((E, F, G, F)))  # a different plan
+    with pytest.raises(ValueError, match="3 actions .* latest plan of 3"):
+        store.update(bytes((E, F, E)))  # the same update again
+    store.update(bytes((E, F, E, F)))
+    assert store.counts == brute_force_repeat_counts((E, F, E, F))
+
+
+@pytest.mark.parametrize("plan, query, want", [
+    # the chain of the suffix (1,)'s kid (1, 1) runs to (1, 1, 3, 0), but the
+    # query ends with (1, 1), from which the longer candidates continue: cut
+    # there, action 1 ranks below 0; the chain is longer than the query
+    ((0, 1, 1, 3, 0, 1, 0, 2, 1, 3, 0, 1, 0, 1, 1, 3, 0), (0, 1, 1), [3, 0, 1]),
+    # the same cut with a query longer than the chain: uncut, the chain end
+    # (1, 1, 2, 2, 1, 0) would rank action 1 level with 2
+    ((1, 1, 2, 2, 1, 0, 1, 1, 2, 2, 1, 0), (0, 1, 0, 2, 2, 1, 1, 0, 1, 2, 1, 1), [2, 0, 1]),
+])
+def test_chain_is_cut_where_a_longer_prefix_matches(plan, query, want):
+    store = fed_store(plan)
+    q = bytes(query)
+    assert store.suggest_ranked(q) == want
+    assert brute_force_suggest_ranked(store.counts, q) == want
+    assert suggest_ranked_trie_walk(store, q) == want
+
+
 def test_tied_node_below_a_longer_match_adds_nothing():
-    # from the suffix (1,) the walk meets (1, 0), which only ties action 0's
+    # from the suffix (1,) the trie walk meets (1, 0), which only ties action 0's
     # best count, set from the suffix (0, 1) by (0, 1, 0, 1); the candidate
     # below it, (1, 0, 1), has that count too but is shorter: every (1, 0)
     # follows a 0, so (0, 1, 0, 1) extends (1, 0, 1) with the same count
@@ -105,6 +135,7 @@ def test_tied_node_below_a_longer_match_adds_nothing():
     assert store.counts[bytes((1, 0, 1))] == store.counts[bytes((0, 1, 0, 1))] == 2
     q = bytes((0, 1))
     assert store.suggest_ranked(q) == brute_force_suggest_ranked(store.counts, q) == [0]
+    assert suggest_ranked_trie_walk(store, q) == [0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,7 +157,8 @@ def test_confirm_and_backtrack_match_the_oracles(data):
         store = sug.store
         assert store.counts == brute_force_repeat_counts(plan.confirmed)
         for q in [bytes(plan.confirmed), *queries, *extra]:
-            assert store.suggest_ranked(q) == brute_force_suggest_ranked(store.counts, q)
+            want = brute_force_suggest_ranked(store.counts, q)
+            assert store.suggest_ranked(q) == want == suggest_ranked_trie_walk(store, q)
 
     for op in ops:
         if op == -1:

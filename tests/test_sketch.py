@@ -415,3 +415,5 @@ def test_branch_matches_the_scan_every_match_oracle(labels, plan, horizon, n_act
             assert got == [h.key() for h in branch_scan_every_match(pool, parent, pb)]
             # the claim's r loop skips only repeat lengths whose window is empty
             assert parent.optimistic_claim(pb) == optimistic_claim_every_r(parent, pb)
+            # the memoised site is the one a fresh copy computes
+            assert parent._repeat_site() == parent._shell()._repeat_site()
