@@ -18,7 +18,7 @@ def main():
     for seq, count in ranked[:6]:
         print(f"  x{count}  {' '.join(ACTION_NAMES[a] for a in seq)}")
 
-    suggestions = store.suggest_ranked(bytes(plan))
+    suggestions = store.suggest_ranked()
     print("\nnext-action suggestions after the trailing (down, down):",
           [ACTION_NAMES[a] for a in suggestions])
 

@@ -1,9 +1,10 @@
 """Shared environment contract, demonstrations and sketches.
 
 Environments here are deterministic state machines with a fixed discrete
-action set. Observations are opaque interned string tokens compared only by
-equality; two distinct latent states may emit the same token (perceptual
-aliasing), which is what makes the search problem interesting.
+action set, defined by a start state and a transition function over hashable
+latent states that `Env` memoises. Observations are opaque string tokens
+compared only by equality; two distinct latent states may emit the same token
+(perceptual aliasing), which is what makes the search problem interesting.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ class ContractViolation(ValueError):
 class Env:
     """Deterministic, possibly partially observable environment.
 
-    Subclasses implement `_reset() -> Obs` and `_step(a) -> Obs`. Stepping is
-    a pure function of (latent state, action); replaying the same action
-    sequence from reset always yields a token-identical observation sequence.
+    Subclasses implement `_start() -> (state, token)` and
+    `_transition(state, a) -> (state, token)` over hashable latent states.
+    Stepping is a pure function of (state, action), so `Env` memoises it:
+    each state reached has a row of one `(next row, token)` entry per
+    action, filled from `_transition` on first use, and the state in slot
+    `n_actions`. Replaying an action sequence from reset yields the same
+    tokens. The rows are per instance and link to each other, so they are
+    cleared when the env is released.
     """
 
     n_actions: int = 0
@@ -37,22 +43,46 @@ class Env:
 
     def __init__(self):
         self._was_reset = False
+        self._row = None  # the current state's row, from the first reset
+        self._rows: dict = {}  # state -> row
+
+    def __del__(self):
+        for row in self._rows.values():
+            row.clear()
 
     def reset(self) -> Obs:
         self._was_reset = True
-        return self._reset()
+        state, tok = self._start()
+        self._row = self._row_of(state)
+        return tok
 
     def step(self, a: Action) -> Obs:
         if not self._was_reset:
             raise ContractViolation("step() before reset()")
         if not isinstance(a, int) or not (0 <= a < self.n_actions):
             raise ContractViolation(f"invalid action id {a!r} (|A|={self.n_actions})")
-        return self._step(a)
+        nxt = self._row[a]
+        if nxt is None:
+            state, tok = self._transition(self._row[-1], a)
+            nxt = self._row[a] = self._row_of(state), tok
+        self._row, tok = nxt
+        return tok
 
-    def _reset(self) -> Obs:
+    @property
+    def state(self):
+        """The latent state; the start state until the first reset."""
+        return self._start()[0] if self._row is None else self._row[-1]
+
+    def _row_of(self, state) -> list:
+        row = self._rows.get(state)
+        if row is None:
+            row = self._rows[state] = [None] * self.n_actions + [state]
+        return row
+
+    def _start(self) -> tuple:
         raise NotImplementedError
 
-    def _step(self, a: Action) -> Obs:
+    def _transition(self, state, a: Action) -> tuple:
         raise NotImplementedError
 
 

@@ -4,10 +4,10 @@ workshop, build a raft to cross water, pick up gems.
 Map legend: `#` wall, `~` water, `W` wood, `G` gem, `K` workshop, `I` island,
 `@` agent, `.` empty. The observation token is a canonical serialization of
 (position, inventory, grid), so equal tokens imply equal latent state and
-the observation space is Markov. Only position changes on most steps, so
-the env keeps the `|inventory|grid` tail of the token and rebuilds it at
-reset and when a `use` changes the grid or the inventory; a step formats
-the position in front of it.
+the observation space is Markov. The latent state is an immutable tuple of
+the agent's cell, the sorted (item, count) pairs held and the map's rows as
+strings, so the env's memo serializes each (state, action) once; `pos`,
+`inventory` and `grid` are read-only views of it.
 
 Two shipped tasks: Island (collect three woods, craft planks, raft across to
 the island; repeated subtask structure) and Gem (short errand with no
@@ -17,6 +17,7 @@ repeated subtasks, used as the no-structure control).
 from __future__ import annotations
 
 from collections import Counter
+from types import MappingProxyType
 
 from ..core import Action, Env, Obs, Task, segments_to_task
 
@@ -55,87 +56,96 @@ def parse_map(text: str):
     return rows, agent
 
 
+def _passable(r: int, c: int, inv: tuple, grid: tuple[str, ...]) -> bool:
+    if not (0 <= r < len(grid) and 0 <= c < len(grid[0])):
+        return False
+    cell = grid[r][c]
+    if cell in (".", "I"):
+        return True
+    if cell == "~":
+        return "raft" in dict(inv)
+    return False
+
+
+def _interact(pos, inv: Counter, grid: list[list[str]]) -> bool:
+    """Apply `use` at `pos` to `inv` and `grid` in place; False if it does nothing."""
+    r0, c0 = pos
+    for a in (UP, DOWN, LEFT, RIGHT):
+        dr, dc = _MOVES[a]
+        r, c = r0 + dr, c0 + dc
+        if not (0 <= r < len(grid) and 0 <= c < len(grid[0])):
+            continue
+        cell = grid[r][c]
+        if cell == "W":
+            grid[r][c] = "."
+            inv["wood"] += 1
+            return True
+        if cell == "G":
+            grid[r][c] = "."
+            inv["gem"] += 1
+            return True
+        if cell == "K" and inv["wood"] >= 1:
+            inv["wood"] -= 1
+            inv["plank"] += 1
+            return True
+        if cell == "~" and inv["plank"] >= RAFT_PLANKS and inv["wood"] >= RAFT_WOOD:
+            inv["plank"] -= RAFT_PLANKS
+            inv["wood"] -= RAFT_WOOD
+            inv["raft"] += 1
+            return True
+    return False
+
+
 class GridCraftEnv(Env):
     n_actions = 5
     action_names = ACTION_NAMES
 
     def __init__(self, map_text: str):
         super().__init__()
-        self._grid0, self._start = parse_map(map_text)
-        self.grid = [row[:] for row in self._grid0]
-        self.pos = self._start
-        self.inventory: Counter = Counter()
-        self._refresh_tail()
+        grid, self._pos0 = parse_map(map_text)
+        self._grid0 = tuple("".join(row) for row in grid)
 
-    def _reset(self) -> Obs:
-        self.grid = [row[:] for row in self._grid0]
-        self.pos = self._start
-        self.inventory = Counter()
-        self._refresh_tail()
-        return self._token()
+    @property
+    def pos(self) -> tuple[int, int]:
+        return self.state[0]
 
-    def _passable(self, r: int, c: int) -> bool:
-        if not (0 <= r < len(self.grid) and 0 <= c < len(self.grid[0])):
-            return False
-        cell = self.grid[r][c]
-        if cell in (".", "I"):
-            return True
-        if cell == "~":
-            return self.inventory["raft"] > 0
-        return False
+    @property
+    def inventory(self) -> MappingProxyType:
+        return MappingProxyType(Counter(dict(self.state[1])))
 
-    def _interact(self) -> bool:
-        r0, c0 = self.pos
-        inv = self.inventory
-        for a in (UP, DOWN, LEFT, RIGHT):
-            dr, dc = _MOVES[a]
-            r, c = r0 + dr, c0 + dc
-            if not (0 <= r < len(self.grid) and 0 <= c < len(self.grid[0])):
-                continue
-            cell = self.grid[r][c]
-            if cell == "W":
-                self.grid[r][c] = "."
-                inv["wood"] += 1
-                return True
-            if cell == "G":
-                self.grid[r][c] = "."
-                inv["gem"] += 1
-                return True
-            if cell == "K" and inv["wood"] >= 1:
-                inv["wood"] -= 1
-                inv["plank"] += 1
-                return True
-            if cell == "~" and inv["plank"] >= RAFT_PLANKS and inv["wood"] >= RAFT_WOOD:
-                inv["plank"] -= RAFT_PLANKS
-                inv["wood"] -= RAFT_WOOD
-                inv["raft"] += 1
-                return True
-        return False
+    @property
+    def grid(self) -> tuple[str, ...]:
+        return self.state[2]
 
-    def _step(self, a: Action) -> Obs:
+    def _start(self) -> tuple[tuple, Obs]:
+        state = (self._pos0, (), self._grid0)
+        return state, self._token(state)
+
+    def _transition(self, state: tuple, a: Action) -> tuple[tuple, Obs]:
         # Ineffective actions leave the state alone but emit an action-tagged
         # echo so no two consecutive steps ever share a token (the emission is
         # a pure function of state and action, which keeps replays identical).
+        pos, inv, rows = state
         if a == USE:
-            effective = self._interact()
+            held, grid = Counter(dict(inv)), [list(row) for row in rows]
+            effective = _interact(pos, held, grid)
             if effective:
-                self._refresh_tail()
+                state = (pos, tuple(sorted((k, v) for k, v in held.items() if v)),
+                         tuple(map("".join, grid)))
         else:
             dr, dc = _MOVES[a]
-            r, c = self.pos[0] + dr, self.pos[1] + dc
-            effective = self._passable(r, c)
+            r, c = pos[0] + dr, pos[1] + dc
+            effective = _passable(r, c, inv, rows)
             if effective:
-                self.pos = (r, c)
-        tok = self._token()
-        return tok if effective else f"{tok}|no:{ACTION_NAMES[a]}"
+                state = ((r, c), inv, rows)
+        tok = self._token(state)
+        return state, tok if effective else f"{tok}|no:{ACTION_NAMES[a]}"
 
-    def _refresh_tail(self) -> None:
-        inv = "+".join(f"{k}:{v}" for k, v in sorted(self.inventory.items()) if v) or "-"
-        rows = "/".join("".join(row) for row in self.grid)
-        self._tail = f"|{inv}|{rows}"
-
-    def _token(self) -> Obs:
-        return f"{self.pos[0]},{self.pos[1]}{self._tail}"
+    def _token(self, state: tuple | None = None) -> Obs:
+        """The serialization of `state`, by default the current one."""
+        (r, c), inv, rows = self.state if state is None else state
+        items = "+".join(f"{k}:{v}" for k, v in inv) or "-"
+        return f"{r},{c}|{items}|{'/'.join(rows)}"
 
 
 ISLAND_MAP = """\

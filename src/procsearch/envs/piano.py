@@ -11,9 +11,9 @@ several hand positions.
 The shipped task plays a 64-note piece assembled from five melodic figures,
 several of which repeat back to back.
 
-Stepping is one lookup: the 24 x 4 (wrist, thumb) hands are numbered, and a
-transition table built once at import maps each (hand, action) to the next
-hand and the interned token it emits, so a step builds no string.
+The latent state is the hand: the 24 x 4 (wrist, thumb) positions are
+numbered, so the env's memo holds at most 96 rows, and every token it emits
+is interned.
 """
 
 from __future__ import annotations
@@ -43,28 +43,6 @@ def _hand(wrist: int, thumb: int) -> int:
     return wrist * _N_THUMB - thumb
 
 
-def _move(wrist: int, thumb: int, a: Action) -> tuple[int, Obs]:
-    """(next hand, token) for action `a` from the hand (wrist, thumb)."""
-    if a <= PRESS_5:
-        offset = thumb if a == PRESS_1 else a  # finger k sits k - 1 keys up
-        return _hand(wrist, thumb), NOTES[min(max(wrist + offset, 0), N_KEYS - 1)]
-    if a == WRIST_UP:
-        wrist = min(wrist + 1, N_KEYS - 1)
-    elif a == WRIST_DOWN:
-        wrist = max(wrist - 1, 0)
-    elif a == THUMB_UP:
-        thumb = min(thumb + 1, 0)
-    else:
-        thumb = max(thumb - 1, THUMB_MIN)
-    return _hand(wrist, thumb), SILENCE
-
-
-# _TRANS[hand][a] -> (next hand, token); hands are numbered by _hand
-_TRANS = tuple(
-    tuple(_move(hand // _N_THUMB, -(hand % _N_THUMB), a) for a in range(len(ACTION_NAMES)))
-    for hand in range(N_KEYS * _N_THUMB))
-
-
 class PianoEnv(Env):
     n_actions = 9
     action_names = ACTION_NAMES
@@ -74,23 +52,32 @@ class PianoEnv(Env):
         if start_wrist not in range(N_KEYS):
             raise ValueError(f"start_wrist must be in 0..{N_KEYS - 1}, got {start_wrist!r}")
         self.start_wrist = start_wrist
-        self._hand = _hand(start_wrist, 0)
 
     @property
     def wrist(self) -> int:
-        return self._hand // _N_THUMB
+        return self.state // _N_THUMB
 
     @property
     def thumb(self) -> int:
-        return -(self._hand % _N_THUMB)
+        return -(self.state % _N_THUMB)
 
-    def _reset(self) -> Obs:
-        self._hand = _hand(self.start_wrist, 0)
-        return SILENCE
+    def _start(self) -> tuple[int, Obs]:
+        return _hand(self.start_wrist, 0), SILENCE
 
-    def _step(self, a: Action) -> Obs:
-        self._hand, tok = _TRANS[self._hand][a]
-        return tok
+    def _transition(self, hand: int, a: Action) -> tuple[int, Obs]:
+        wrist, thumb = hand // _N_THUMB, -(hand % _N_THUMB)
+        if a <= PRESS_5:
+            offset = thumb if a == PRESS_1 else a  # finger k sits k - 1 keys up
+            return hand, NOTES[min(max(wrist + offset, 0), N_KEYS - 1)]
+        if a == WRIST_UP:
+            wrist = min(wrist + 1, N_KEYS - 1)
+        elif a == WRIST_DOWN:
+            wrist = max(wrist - 1, 0)
+        elif a == THUMB_UP:
+            thumb = min(thumb + 1, 0)
+        else:
+            thumb = max(thumb - 1, THUMB_MIN)
+        return _hand(wrist, thumb), SILENCE
 
 
 # Melodic figures (fixed action sequences; notes depend on where the hand is)

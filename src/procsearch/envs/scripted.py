@@ -2,7 +2,8 @@
 
 ScriptedEnv realizes the minimal deterministic environment: one true action
 sequence, one token per on-script prefix (a fresh one unless given), and an
-absorbing "OFF" sink once the agent deviates.
+absorbing "OFF" sink once the agent deviates. Its latent state is the number
+of script actions taken, or -1 for OFF, so its memo holds at most H + 2 rows.
 
 AutomatonEnv is an explicit deterministic finite automaton over latent
 states. It can express richer aliasing traps than repeated tokens: a wrong
@@ -32,21 +33,15 @@ class ScriptedEnv(Env):
             raise ValueError("need one token per script position")
         self.tokens = tuple(intern_token(t) for t in tokens)
         self.start_token = intern_token(start_token)
-        self._i = 0
-        self._on_script = True
 
-    def _reset(self) -> Obs:
-        self._i = 0
-        self._on_script = True
-        return self.start_token
+    def _start(self) -> tuple[int, Obs]:
+        return 0, self.start_token
 
-    def _step(self, a: Action) -> Obs:
-        if self._on_script and self._i < len(self.script) and a == self.script[self._i]:
-            tok = self.tokens[self._i]
-            self._i += 1
-            return tok
-        self._on_script = False
-        return OFF_TOKEN
+    def _transition(self, i: int, a: Action) -> tuple[int, Obs]:
+        # state i >= 0: the first i script actions were taken; -1: OFF
+        if 0 <= i < len(self.script) and a == self.script[i]:
+            return i + 1, self.tokens[i]
+        return -1, OFF_TOKEN
 
 
 class AutomatonEnv(Env):
@@ -60,15 +55,12 @@ class AutomatonEnv(Env):
             raise ValueError("each state needs one transition per action")
         self.start_state = start_state
         self.start_token = intern_token(start_token)
-        self._s = start_state
 
-    def _reset(self) -> Obs:
-        self._s = self.start_state
-        return self.start_token
+    def _start(self) -> tuple[int, Obs]:
+        return self.start_state, self.start_token
 
-    def _step(self, a: Action) -> Obs:
-        self._s, tok = self.trans[self._s][a]
-        return tok
+    def _transition(self, s: int, a: Action) -> tuple[int, Obs]:
+        return self.trans[s][a]
 
 
 def trap_env() -> tuple[AutomatonEnv, tuple[Action, ...]]:

@@ -95,24 +95,22 @@ class RepeatStore:
         for t in range(1, len(plan_bytes) + 1):
             self.update(plan_bytes[:t])
 
-    def suggest_ranked(self, plan_bytes: bytes) -> list[Action]:
-        """Next actions of candidates whose prefix matches the plan suffix,
-        best repeat count first; duplicates keep their best rank.
+    def suggest_ranked(self) -> list[Action]:
+        """Next actions of candidates whose prefix matches a suffix of the
+        latest plan, best repeat count first; duplicates keep their best rank.
 
         A candidate continues from its longest prefix r that is a plan
         suffix, keyed (-count, -length, candidate). All occurrences of r's
         kid k go on alike while a candidate repeats as often as k, and counts
         never rise, so the best candidate through k, that chain's end, is
         bisected from the last k in the plan after trying the plan's end.
-        Candidates past a node that is a longer suffix of `plan_bytes` (none
-        is, on the latest plan) continue from it, so the chain is cut there.
         The r go shortest first, up to the first of length 2+ not repeated.
         """
         kids, counts, plan = self.kids, self.counts, self.plan
-        t, cut = len(plan_bytes), plan_bytes != plan
+        t = len(plan)
         best: dict[Action, tuple] = {}
         for j in range(1, t + 1):
-            root = plan_bytes[t - j:]
+            root = plan[t - j:]
             if j > 1 and root not in counts:
                 break
             for k in kids.get(root, ()):
@@ -120,7 +118,7 @@ class RepeatStore:
                 p = plan.rfind(k)
                 e = plan[p:]
                 if counts.get(e) != c:
-                    lo, hi = p + j + 1, len(plan)  # plan[p:lo] has count c, plan[p:hi] not
+                    lo, hi = p + j + 1, t  # plan[p:lo] has count c, plan[p:hi] not
                     while lo < hi - 1:
                         mid = (lo + hi) // 2
                         if counts.get(plan[p:mid]) == c:
@@ -128,11 +126,6 @@ class RepeatStore:
                         else:
                             hi = mid
                     e = plan[p:lo]
-                i = plan_bytes.rfind(k, max(0, t - len(e))) if cut else -1
-                while i != -1 and not e.startswith(plan_bytes[i:]):
-                    i = plan_bytes.rfind(k, 0, i + j)
-                if i != -1:
-                    e = e[:t - i]
                 key = (-c, -len(e), e)
                 best[k[j]] = min(best.get(k[j], key), key)
         return sorted(best, key=best.__getitem__)
@@ -147,12 +140,13 @@ class RepeatPoolSuggester(ActionSuggester):
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
         """Best-ranked repeat continuation outside `excluded`. The ranking is
-        keyed on the plan bytes: `update` and `truncate` keep the store a
-        function of the plan, so it is computed once per plan state."""
-        pb = bytes(plan.confirmed)
+        keyed on the store's plan, which `update` and `truncate` keep equal
+        to `plan.confirmed`: the store is a function of it, so the ranking is
+        computed once per plan state."""
+        pb = self.store.plan
         key, ranked = self._ranked
         if key != pb:
-            ranked = self.store.suggest_ranked(pb)
+            ranked = self.store.suggest_ranked()
             self._ranked = pb, ranked
         for a in ranked:
             if a not in excluded:

@@ -299,8 +299,8 @@ def run_episode_scan(env: Env, demo: Demonstration, plan: PartialPlan,
 
 
 def piano_step(wrist: int, thumb: int, a: Action) -> tuple[int, int, Obs]:
-    """Oracle for the piano transition table: (wrist, thumb, token) after
-    action `a`, computed by the hand's arithmetic."""
+    """Oracle for the piano transitions: (wrist, thumb, token) after action
+    `a`, computed by the hand's arithmetic."""
     if a <= PRESS_5:
         finger = a + 1
         offset = thumb if finger == 1 else finger - 1
@@ -317,7 +317,7 @@ def piano_step(wrist: int, thumb: int, a: Action) -> tuple[int, int, Obs]:
 
 
 def craft_token(pos, inventory, grid) -> Obs:
-    """Oracle for `GridCraftEnv._token`: the whole state serialized afresh."""
+    """Oracle for `GridCraftEnv._token`: the state's views serialized afresh."""
     inv = "+".join(f"{k}:{v}" for k, v in sorted(inventory.items()) if v) or "-"
     rows = "/".join("".join(row) for row in grid)
     return f"{pos[0]},{pos[1]}|{inv}|{rows}"

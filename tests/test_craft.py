@@ -3,7 +3,7 @@ import random
 import pytest
 
 from procsearch.envs.craft import (
-    ACTION_NAMES, DOWN, GEM_MAP, ISLAND_MAP, MapError, USE, GridCraftEnv,
+    ACTION_NAMES, DOWN, GEM_MAP, ISLAND_MAP, MapError, UP, USE, GridCraftEnv,
     make_gem_task, make_island_task,
 )
 from tests.oracles import craft_token
@@ -129,10 +129,13 @@ def test_tokens_are_bijective_on_latent_state():
 
 
 def test_gridcraft_raft_requirements():
-    env = GridCraftEnv("~..\n~@.\n~..")
+    env = GridCraftEnv("~..\n~@.\n~..\nWWW\n.K.")
     env.reset()
     assert env.step(USE).endswith("|no:use")  # no materials yet
-    env.inventory.update({"plank": 2, "wood": 1})
+    # below: chop, craft, chop, craft, chop; back up beside the water
+    for a in (DOWN, USE, DOWN, USE, USE, USE, USE, UP, UP):
+        env.step(a)
+    assert dict(env.inventory) == {"plank": 2, "wood": 1}
     env.step(USE)
     assert env.inventory["raft"] == 1
     assert env.inventory["plank"] == 0 and env.inventory["wood"] == 0

@@ -39,9 +39,9 @@ def test_suffix_only_update_matches_brute_force():
 
 
 def test_suggest_follows_matching_prefix():
-    store = fed_store((E, F, E, F))
-    # plan now (e,f,g,e): candidate (e,f) has prefix (e) matching the suffix
-    assert store.suggest_ranked(bytes((E, F, G, E)))[0] == F
+    store = fed_store((E, F, E, F, G, E))
+    # candidate (e,f) has prefix (e) matching the plan's suffix
+    assert store.suggest_ranked()[0] == F
 
 
 def test_suggest_ranked_by_repeat_count():
@@ -51,15 +51,15 @@ def test_suggest_ranked_by_repeat_count():
     store = fed_store(plan)
     assert store.counts[bytes((DOWN, DOWN, DOWN))] == 5
     assert store.counts[bytes((DOWN, LEFT))] == 2
-    ranked = store.suggest_ranked(bytes(plan))
+    ranked = store.suggest_ranked()
     assert ranked[0] == DOWN
     assert LEFT in ranked
     assert ranked.index(DOWN) < ranked.index(LEFT)
 
 
 def test_empty_store_suggests_nothing():
-    store = RepeatStore()
-    assert store.suggest_ranked(bytes((E, F))) == []
+    store = fed_store((E, F))
+    assert store.suggest_ranked() == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,33 +109,17 @@ def test_update_must_extend_the_latest_plan():
     assert store.counts == brute_force_repeat_counts((E, F, E, F))
 
 
-@pytest.mark.parametrize("plan, query, want", [
-    # the chain of the suffix (1,)'s kid (1, 1) runs to (1, 1, 3, 0), but the
-    # query ends with (1, 1), from which the longer candidates continue: cut
-    # there, action 1 ranks below 0; the chain is longer than the query
-    ((0, 1, 1, 3, 0, 1, 0, 2, 1, 3, 0, 1, 0, 1, 1, 3, 0), (0, 1, 1), [3, 0, 1]),
-    # the same cut with a query longer than the chain: uncut, the chain end
-    # (1, 1, 2, 2, 1, 0) would rank action 1 level with 2
-    ((1, 1, 2, 2, 1, 0, 1, 1, 2, 2, 1, 0), (0, 1, 0, 2, 2, 1, 1, 0, 1, 2, 1, 1), [2, 0, 1]),
-])
-def test_chain_is_cut_where_a_longer_prefix_matches(plan, query, want):
-    store = fed_store(plan)
-    q = bytes(query)
-    assert store.suggest_ranked(q) == want
-    assert brute_force_suggest_ranked(store.counts, q) == want
-    assert suggest_ranked_trie_walk(store, q) == want
-
-
 def test_tied_node_below_a_longer_match_adds_nothing():
     # from the suffix (1,) the trie walk meets (1, 0), which only ties action 0's
     # best count, set from the suffix (0, 1) by (0, 1, 0, 1); the candidate
     # below it, (1, 0, 1), has that count too but is shorter: every (1, 0)
-    # follows a 0, so (0, 1, 0, 1) extends (1, 0, 1) with the same count
-    store = fed_store((0, 1, 0, 1, 0, 1))
+    # follows a 0, so (0, 1, 0, 1) extends (1, 0, 1) with the same count; the
+    # plan ends (2, 0, 1), so (0, 1) is its longest repeated suffix
+    plan = bytes((0, 1, 0, 1, 0, 1, 2, 0, 1))
+    store = fed_store(plan)
     assert store.counts[bytes((1, 0, 1))] == store.counts[bytes((0, 1, 0, 1))] == 2
-    q = bytes((0, 1))
-    assert store.suggest_ranked(q) == brute_force_suggest_ranked(store.counts, q) == [0]
-    assert suggest_ranked_trie_walk(store, q) == [0]
+    assert store.suggest_ranked() == brute_force_suggest_ranked(store.counts, plan) == [0]
+    assert suggest_ranked_trie_walk(store, plan) == [0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,17 +132,15 @@ def test_confirm_and_backtrack_match_the_oracles(data):
     # -2 confirms the motif, -1 backtracks one step, an action is confirmed
     ops = data.draw(st.lists(st.integers(-2, n_actions - 1), min_size=8, max_size=40),
                     label="ops")
-    queries = data.draw(st.lists(st.lists(actions, max_size=12).map(bytes), max_size=3),
-                        label="queries")
     sug = RepeatPoolSuggester()
     plan = SimpleNamespace(confirmed=[])
 
-    def check(extra=()):
+    def check():
         store = sug.store
+        assert store.plan == bytes(plan.confirmed)
         assert store.counts == brute_force_repeat_counts(plan.confirmed)
-        for q in [bytes(plan.confirmed), *queries, *extra]:
-            want = brute_force_suggest_ranked(store.counts, q)
-            assert store.suggest_ranked(q) == want == suggest_ranked_trie_walk(store, q)
+        want = brute_force_suggest_ranked(store.counts, store.plan)
+        assert store.suggest_ranked() == want == suggest_ranked_trie_walk(store, store.plan)
 
     for op in ops:
         if op == -1:
@@ -172,7 +154,6 @@ def test_confirm_and_backtrack_match_the_oracles(data):
                 plan.confirmed.append(a)
                 sug.on_confirmed(plan)
                 check()
-    check(bytes(plan.confirmed[:k]) for k in range(len(plan.confirmed)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -197,7 +178,7 @@ def test_suggest_matches_a_fresh_ranking_at_every_plan_state(motif, ops):
                 sug.on_confirmed(plan)
         if check:
             pb = bytes(plan.confirmed)
-            ranked = fed_store(pb).suggest_ranked(pb)
+            ranked = fed_store(pb).suggest_ranked()
             for excluded in EXCLUDED_SETS:
                 want = next((a for a in ranked if a not in excluded), None)
                 assert sug.suggest(plan, excluded) == want

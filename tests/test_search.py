@@ -188,12 +188,12 @@ class RecordingEnv(Env):
         super().__init__()
         self.inner, self.n_actions, self.log = inner, inner.n_actions, []
 
-    def _reset(self):
+    def reset(self):
         obs = self.inner.reset()
         self.log.append((None, obs))
         return obs
 
-    def _step(self, a):
+    def step(self, a):
         obs = self.inner.step(a)
         self.log.append((a, obs))
         return obs
