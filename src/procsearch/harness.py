@@ -214,6 +214,8 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
           jobs: int = 1) -> SweepResult:
     if not configs:
         raise ConfigError("sweep needs at least one run config")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     labels = set()
     for c in configs:
         c.validate()

@@ -69,8 +69,11 @@ class RepeatStore:
         suffix of the plan's first t > n actions loses the occurrence that
         ends at t, and leaves the store when it no longer repeats. Nothing
         in the store extends a leaving candidate: two occurrences of an
-        extension would hold two of it besides the one ending at t."""
+        extension would hold two of it besides the one ending at t. Raises
+        ValueError unless 0 <= n <= the plan length."""
         counts, kids, plan = self.counts, self.kids, self.plan
+        if not 0 <= n <= len(plan):
+            raise ValueError(f"cannot cut a plan of {len(plan)} actions to {n}")
         for t in range(len(plan), n, -1):
             for ln in range(2, t + 1):
                 seq = plan[t - ln:t]

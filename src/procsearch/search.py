@@ -7,7 +7,7 @@ actions are confirmed (several can be confirmed in a single episode when a
 suggester keeps guessing right); a mismatch burns the rest of the episode
 with random actions. When every action at the frontier has been ruled out,
 an earlier aliased confirmation must have been wrong, so the plan unrolls
-one step and bans the unrolled action at that position.
+one step and rules the unrolled action out at that position.
 
 Action selection is pluggable: BPS uses a uniform suggester, the smarter
 agents plug in sketch-hypothesis, repeat-mining or oracle-aligned suggesters.
@@ -26,50 +26,46 @@ from .core import Action, Demonstration, Env
 
 
 class UnsatisfiableDemo(RuntimeError):
-    """Backtracked past the first position with every action banned."""
+    """Backtracked past the first position with every action ruled out."""
 
 
 @dataclass
 class PartialPlan:
-    """Confirmed action prefix plus per-position elimination ledgers.
+    """Confirmed action prefix plus one ruled-out ledger per position.
 
-    failed[i] holds actions tried at position i that did not emit the
-    demonstrated token (under the current prefix). banned[i] holds actions
-    that matched but were unrolled by backtracking. Both lists always have
+    ruled_out[i] holds the actions excluded at position i under the current
+    prefix: those tried there that did not emit the demonstrated token, and
+    those that matched but were unrolled by backtracking. It always has
     exactly len(confirmed)+1 entries; the last one is the frontier ledger.
     """
 
     n_actions: int
     confirmed: list[Action] = field(default_factory=list)
-    failed: list[set[Action]] = field(default_factory=lambda: [set()])
-    banned: list[set[Action]] = field(default_factory=lambda: [set()])
+    ruled_out: list[set[Action]] = field(default_factory=lambda: [set()])
 
     @property
     def frontier(self) -> int:
         return len(self.confirmed)
 
     def excluded(self) -> set[Action]:
-        t = self.frontier
-        return self.failed[t] | self.banned[t]
+        """The frontier ledger itself, not a copy: callers must not change it."""
+        return self.ruled_out[self.frontier]
 
     def frontier_exhausted(self) -> bool:
         return len(self.excluded()) >= self.n_actions
 
     def confirm(self, a: Action) -> None:
         self.confirmed.append(a)
-        self.failed.append(set())
-        self.banned.append(set())
+        self.ruled_out.append(set())
 
     def reject(self, a: Action) -> None:
-        self.failed[self.frontier].add(a)
+        self.ruled_out[self.frontier].add(a)
 
     def check_invariants(self) -> None:
-        assert len(self.failed) == len(self.confirmed) + 1
-        assert len(self.banned) == len(self.confirmed) + 1
+        assert len(self.ruled_out) == len(self.confirmed) + 1
         for i, a in enumerate(self.confirmed):
-            assert a not in self.failed[i], "confirmed action marked failed"
-        for f, b in zip(self.failed, self.banned):
-            assert len(f | b) <= self.n_actions
+            assert a not in self.ruled_out[i], "confirmed action ruled out"
+        assert all(len(r) <= self.n_actions for r in self.ruled_out)
 
 
 @dataclass
@@ -140,11 +136,11 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
     steps = start = len(plan.confirmed)  # at the frontier, steps == frontier
 
     n = plan.n_actions
-    observations, failed, banned = demo.observations, plan.failed, plan.banned
+    observations, ruled_out = demo.observations, plan.ruled_out
     suggest = suggester.suggest
     while steps < horizon:
-        # not exhausted: checked above, and each confirmation opens empty ledgers
-        excluded = failed[steps] | banned[steps]
+        # not exhausted: checked above, and each confirmation opens an empty ledger
+        excluded = ruled_out[steps]
         a = suggest(plan, excluded)
         if a is None or a in excluded:
             candidates = [x for x in range(n) if x not in excluded]
@@ -169,18 +165,17 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
 def backtrack(plan: PartialPlan, suggester: ActionSuggester) -> None:
     """Unroll the last confirmed action after a dead end.
 
-    The unrolled action is banned at its position; ledgers beyond that
+    The unrolled action is ruled out at its position; ledgers beyond that
     position are dropped because their context (the prefix) has changed.
-    Failures recorded at the position itself are kept: the prefix below it
-    is unchanged, so they remain valid eliminations.
+    What was ruled out at the position itself is kept: the prefix below it
+    is unchanged, so those remain valid eliminations.
     """
     if not plan.confirmed:
         raise UnsatisfiableDemo("dead end at position 0 with every action ruled out")
     removed = plan.confirmed.pop()
     pos = len(plan.confirmed)
-    del plan.failed[pos + 1:]
-    del plan.banned[pos + 1:]
-    plan.banned[pos].add(removed)
+    del plan.ruled_out[pos + 1:]
+    plan.ruled_out[pos].add(removed)
     suggester.on_backtrack(plan, removed, pos)
 
 

@@ -37,14 +37,14 @@ becomes ineligible at that position (the action lands in the frontier's
 failed set); it is eliminated only when a confirmed action contradicts its
 alignment.
 
-After each confirmation the pool saves a checkpoint of that plan depth:
+After each confirmation the pool saves a checkpoint of that plan length:
 copies of the active hypotheses (confirmations advance them in place) and
 the length of the frozen list. Frozen hypotheses are never changed, and the
 list only grows at its tail; it grows only while the active set is full,
 when its cap is at its lowest, so the cap only ever drops hypotheses frozen
-by the same confirmation. A backtrack restores copies of the checkpoint at
-the shortened plan and cuts the frozen list back to its length, instead of
-replaying the plan from the start.
+by the same confirmation. A backtrack only cuts the plan short, so it
+restores copies of the checkpoint at the new length and cuts the frozen list
+back to its length, instead of replaying the plan from the start.
 """
 
 from __future__ import annotations
@@ -301,9 +301,8 @@ class SketchPool:
         self.seen: set = set()
         self._created = 0
         self.max_branch_per_parent = 0  # high-water mark, for property tests
-        # checkpoints[d]: the state after confirming the first d actions of
-        # `_plan`, as (copies of the active hypotheses, len(frozen))
-        self._plan = b""
+        # checkpoints[d]: the state after confirming the plan's first d actions,
+        # as (copies of the active hypotheses, len(frozen)), for d up to its length
         self.checkpoints: list[tuple[list[Hypothesis], int]] = [([self.blank._shell()], 0)]
         # select's ranking: ((the active list it ranks, plan bytes), the
         # _proposals entries of that list that have a proposal)
@@ -472,10 +471,13 @@ class SketchPool:
     # -- plan-event hooks -------------------------------------------------------
 
     def on_confirmed(self, actions: list[Action]) -> None:
-        """Advance the pool by the newest action of `actions`, which must
-        extend the plan of the previous confirmation or rebuild by one, and
-        save the checkpoint of `actions`. The proposals that rank the pool
-        also seed `select`'s ranking of the new active set."""
+        """Advance the pool by the newest action of `actions`, which must be
+        one longer than the plan of the latest confirmation or rebuild (else
+        ValueError), and save its checkpoint. The proposals that rank the
+        pool also seed `select`'s ranking of the new active set."""
+        if len(actions) != len(self.checkpoints):
+            raise ValueError(f"{len(actions)} actions do not extend the latest plan "
+                             f"of {len(self.checkpoints) - 1}")
         self.seen = set()
         a = actions[-1]
         pb = bytes(actions)
@@ -496,27 +498,20 @@ class SketchPool:
         del self.frozen[max(0, self.mem_cap - len(self.active)):]
         active = sorted(self._proposals([self.blank], pb) + ranked[:keep], key=itemgetter(0))
         self._ranked = (self.active, pb), [entry for entry in active if entry[2] is not None]
-        self._plan = pb
         self.checkpoints.append(([h._shell() for h in self.active], len(self.frozen)))
 
-    def rebuild(self, actions) -> None:
-        """Return to the state after confirming `actions`, as after a
-        backtrack: restore copies of the deepest checkpoint whose plan is a
-        prefix of `actions`, then confirm the actions past it (none, when
-        `actions` is the plan cut short)."""
-        pb = bytes(actions)
-        depth = min(len(pb), len(self._plan))
-        while pb[:depth] != self._plan[:depth]:
-            depth -= 1
-        del self.checkpoints[depth + 1:]
-        active, n_frozen = self.checkpoints[depth]
+    def rebuild(self, n: int) -> None:
+        """Return to the state after confirming the first `n` actions of the
+        plan, as after a backtrack: restore copies of checkpoint `n`. Raises
+        ValueError unless 0 <= n <= the plan length."""
+        if not 0 <= n < len(self.checkpoints):
+            raise ValueError(f"cannot cut a plan of {len(self.checkpoints) - 1} actions to {n}")
+        del self.checkpoints[n + 1:]
+        active, n_frozen = self.checkpoints[n]
         self.active = [h._shell() for h in active]
         del self.frozen[n_frozen:]
         self.blank = self.active[0]
         self.seen = set()
-        self._plan = pb[:depth]
-        for i in range(depth + 1, len(pb) + 1):
-            self.on_confirmed(list(actions[:i]))
 
     # -- selection ----------------------------------------------------------------
 
@@ -557,4 +552,4 @@ class SketchPoolSuggester(ActionSuggester):
         self.pool.on_confirmed(plan.confirmed)
 
     def on_backtrack(self, plan: PartialPlan, removed: Action, position: int) -> None:
-        self.pool.rebuild(tuple(plan.confirmed))
+        self.pool.rebuild(position)

@@ -59,3 +59,13 @@ def test_sweep_bad_spec_contents(tmp_path, capsys):
     spec.write_text("envs=chain\n")
     rc = main(["sweep", "--spec", str(spec)])
     assert rc == 2
+
+
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("envs=chain\nagents=bps\nseeds=0\n")
+    out_dir = tmp_path / "results"
+    rc = main(["sweep", "--spec", str(spec), "--out", str(out_dir), "--jobs", "0"])
+    assert rc == 2
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_dir.exists()  # refused before any run or output

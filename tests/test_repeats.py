@@ -109,6 +109,20 @@ def test_update_must_extend_the_latest_plan():
     assert store.counts == brute_force_repeat_counts((E, F, E, F))
 
 
+def test_truncate_must_cut_within_the_plan():
+    plan = (E, F) * 3
+    store = fed_store(plan)
+    for n in (-1, len(plan) + 1):
+        with pytest.raises(ValueError, match=f"plan of 6 actions to {n}"):
+            store.truncate(n)
+    assert store.plan == bytes(plan)  # a refused cut changes nothing
+    assert store.counts == brute_force_repeat_counts(plan)
+    store.truncate(len(plan))
+    assert store.counts == brute_force_repeat_counts(plan)
+    store.truncate(0)
+    assert store.counts == {} and store.kids == {} and store.plan == b""
+
+
 def test_tied_node_below_a_longer_match_adds_nothing():
     # from the suffix (1,) the trie walk meets (1, 0), which only ties action 0's
     # best count, set from the suffix (0, 1) by (0, 1, 0, 1); the candidate

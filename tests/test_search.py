@@ -38,7 +38,7 @@ def test_first_episode_confirms_first_action():
     assert res.new_action_confirmed
     assert not res.dead_end
     assert plan.confirmed == [script[0]]
-    assert wrong_second in plan.failed[1]
+    assert wrong_second in plan.ruled_out[1]
 
 
 def test_episode_can_confirm_several_actions():
@@ -67,8 +67,7 @@ def test_dead_end_signaled_without_acting():
     env, script = make_chain(n_actions=2, horizon=3)
     demo = record_demonstration(env, script)
     plan = PartialPlan(env.n_actions)
-    plan.failed[0] = {0}
-    plan.banned[0] = {1}
+    plan.ruled_out[0] = {0, 1}
     res = run_episode(env, demo, plan, UniformSuggester(), random.Random(0))
     assert res.dead_end
     assert res.steps_taken == 0
@@ -88,20 +87,21 @@ def test_backtrack_unrolls_one_step():
     plan = PartialPlan(2)
     for a in (0, 1, 0):
         plan.confirm(a)
-    plan.failed[3] = {0, 1}
+    plan.ruled_out[3] = {0, 1}
     sug = UniformSuggester()
     backtrack(plan, sug)
     assert plan.confirmed == [0, 1]
-    assert plan.banned[2] == {0}
-    assert len(plan.failed) == 3
+    assert plan.ruled_out[2] == {0}
+    assert len(plan.ruled_out) == 3
+    assert plan.excluded() is plan.ruled_out[2]  # the ledger itself, not a copy
     plan.check_invariants()
-    # a second dead end unrolls further and clears deeper bans
-    plan.failed[2] = {1}
+    # a second dead end unrolls further and clears the deeper ledger
+    plan.ruled_out[2].add(1)
     assert plan.frontier_exhausted()
     backtrack(plan, sug)
     assert plan.confirmed == [0]
-    assert plan.banned[1] == {1}
-    assert len(plan.banned) == 2
+    assert plan.ruled_out[1] == {1}
+    assert len(plan.ruled_out) == 2
     plan.check_invariants()
 
 
@@ -110,8 +110,7 @@ def test_backtrack_keeps_failures_at_unrolled_position():
     plan.reject(2)
     plan.confirm(0)
     backtrack(plan, UniformSuggester())
-    assert plan.failed[0] == {2}
-    assert plan.banned[0] == {0}
+    assert plan.ruled_out[0] == {0, 2}  # the failure is kept, the unrolled action added
 
 
 def test_unsatisfiable_demo_raises():

@@ -1,6 +1,7 @@
 import random
 from statistics import mean
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from procsearch.agents import run_agent
@@ -310,11 +311,28 @@ def test_frozen_store_stays_within_the_cap():
         assert pool.stored_count() <= pool.mem_cap == 16
         assert pool_keys(pool)[0] == pool_keys(roomy)[0]  # the cap leaves the active set
     assert roomy.stored_count() > pool.mem_cap  # the plan does overflow the cap
-    for cut in range(len(plan) + 1):
-        pool.rebuild(tuple(plan[:cut]))
+    for cut in range(len(plan), -1, -1):  # a backtrack only cuts the plan shorter
+        pool.rebuild(cut)
         fresh = SketchPool(sketch, horizon=2)
         feed(fresh, plan[:cut])
         assert pool_keys(pool) == pool_keys(fresh)
+
+
+def test_rebuild_and_on_confirmed_must_follow_the_plan_length():
+    sketch = Sketch(("b0", "b1", "b0"))
+    plan = [0, 1, 0, 1]
+    pool = SketchPool(sketch, horizon=6)
+    feed(pool, plan)
+    before = pool_keys(pool)
+    for n in (-1, len(plan) + 1):
+        with pytest.raises(ValueError, match=f"plan of 4 actions to {n}"):
+            pool.rebuild(n)
+    for actions in (plan, plan + [0, 1], plan[:2]):  # the same plan, a skip, a cut
+        with pytest.raises(ValueError, match=f"{len(actions)} actions .* latest plan of 4"):
+            pool.on_confirmed(actions)
+    assert pool_keys(pool) == before and len(pool.checkpoints) == len(plan) + 1
+    pool.rebuild(len(plan))  # the plan's own length restores its own checkpoint
+    assert pool_keys(pool) == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,7 +344,8 @@ def test_backtrack_rebuild_matches_fresh_pool(labels, plan, cut, n_active):
     sketch = Sketch(tuple(labels))
     pool = SketchPool(sketch, horizon=14, n_active=n_active)
     feed(pool, plan)
-    pool.rebuild(tuple(plan[:cut]))
+    cut = min(cut, len(plan))
+    pool.rebuild(cut)
     fresh = SketchPool(sketch, horizon=14, n_active=n_active)
     feed(fresh, plan[:cut])
     assert pool_keys(pool) == pool_keys(fresh)
@@ -359,7 +378,7 @@ def test_backtracks_restore_what_a_fresh_pool_reaches(labels, ops, horizon, n_ac
             assert pool.frozen[:len(before)] == before
         elif plan:
             plan.pop()
-            pool.rebuild(tuple(plan))
+            pool.rebuild(len(plan))
             fresh = SketchPool(sketch, horizon=horizon, n_active=n_active)
             feed(fresh, plan)
             assert pool_state(pool) == pool_state(fresh)
@@ -390,7 +409,7 @@ def test_select_matches_the_scan_oracle_at_every_plan_state(labels, ops, horizon
             pool.on_confirmed(plan)
         elif plan:
             plan.pop()
-            pool.rebuild(tuple(plan))
+            pool.rebuild(len(plan))
         if check:
             for excluded in EXCLUDED_SETS:
                 assert pool.select(plan, excluded) == select_scan(pool, plan, excluded)
