@@ -59,6 +59,10 @@ MODEL_REGISTRY = {
 
 AGENT_NAMES = tuple(SUGGESTER_REGISTRY) + tuple(MODEL_REGISTRY)
 
+# these suggesters encode the plan as bytes, one action per byte
+BYTE_PLAN_AGENTS = ("plots_sketch", "plots_nosketch")
+BYTE_PLAN_MAX_ACTIONS = 256
+
 
 def run_agent(name: str, task: Task, demo: Demonstration, seed: int,
               budget: int, cfg: dict | None = None) -> LearnReport:
@@ -71,6 +75,9 @@ def run_agent(name: str, task: Task, demo: Demonstration, seed: int,
     opts = AgentOptions(**(cfg or {}))
     env = task.env()
     if name in SUGGESTER_REGISTRY:
+        if name in BYTE_PLAN_AGENTS and env.n_actions > BYTE_PLAN_MAX_ACTIONS:
+            raise ConfigError(f"agent {name} takes at most {BYTE_PLAN_MAX_ACTIONS} actions, "
+                              f"env {task.name!r} has n_actions={env.n_actions}")
         suggester = SUGGESTER_REGISTRY[name](task, demo, opts)
         rng = random.Random(seed)
         return learn(env, demo, suggester, rng, budget)

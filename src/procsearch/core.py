@@ -180,8 +180,8 @@ def read_demo_file(text: str) -> tuple[Demonstration, int]:
     if header is None:
         raise ValueError(f"bad header line (want H=<int> A=<int>): {head!r}")
     h, a = int(header[1]), int(header[2])
-    if a < 1:
-        raise ValueError(f"bad header line (need A >= 1): {head!r}")
+    if h < 1 or a < 1:
+        raise ValueError(f"bad header line (need H >= 1 and A >= 1): {head!r}")
     sketch = None
     if body and body[-1][1].split()[0] == "SKETCH":
         n, ln = body.pop()

@@ -139,28 +139,24 @@ class RepeatPoolSuggester(ActionSuggester):
 
     def __init__(self):
         self.store = RepeatStore()
-        self._ranked: tuple[bytes | None, list[Action]] = (None, [])
+        # rankings[n]: the store's ranking after the plan's first n actions;
+        # the store is a function of the plan, so a backtrack cuts it back
+        self.rankings: list[list[Action]] = [[]]
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
-        """Best-ranked repeat continuation outside `excluded`. The ranking is
-        keyed on the store's plan, which `update` and `truncate` keep equal
-        to `plan.confirmed`: the store is a function of it, so the ranking is
-        computed once per plan state."""
-        pb = self.store.plan
-        key, ranked = self._ranked
-        if key != pb:
-            ranked = self.store.suggest_ranked()
-            self._ranked = pb, ranked
-        for a in ranked:
+        """Best-ranked repeat continuation outside `excluded`."""
+        for a in self.rankings[-1]:
             if a not in excluded:
                 return a
         return None
 
     def on_confirmed(self, plan: PartialPlan) -> None:
         self.store.update(bytes(plan.confirmed))
+        self.rankings.append(self.store.suggest_ranked())
 
     def on_backtrack(self, plan: PartialPlan, removed: Action, position: int) -> None:
         self.store.truncate(position)
+        del self.rankings[position + 1:]
 
 
 def brute_force_repeat_counts(plan) -> dict[bytes, int]:

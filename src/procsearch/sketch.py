@@ -38,13 +38,14 @@ failed set); it is eliminated only when a confirmed action contradicts its
 alignment.
 
 After each confirmation the pool saves a checkpoint of that plan length:
-copies of the active hypotheses (confirmations advance them in place) and
-the length of the frozen list. Frozen hypotheses are never changed, and the
-list only grows at its tail; it grows only while the active set is full,
-when its cap is at its lowest, so the cap only ever drops hypotheses frozen
-by the same confirmation. A backtrack only cuts the plan short, so it
-restores copies of the checkpoint at the new length and cuts the frozen list
-back to its length, instead of replaying the plan from the start.
+copies of the active hypotheses (confirmations advance them in place), the
+length of the frozen list and the ranking of the active suggestions. Frozen
+hypotheses are never changed, and the list only grows at its tail; it grows
+only while the active set is full, when its cap is at its lowest, so the cap
+only ever drops hypotheses frozen by the same confirmation. A backtrack only
+cuts the plan short, so it restores copies of the checkpoint at the new
+length, its ranking, and cuts the frozen list back to its length, instead of
+replaying the plan from the start or ranking again.
 """
 
 from __future__ import annotations
@@ -301,12 +302,15 @@ class SketchPool:
         self.seen: set = set()
         self._created = 0
         self.max_branch_per_parent = 0  # high-water mark, for property tests
+        # select's ranking: (index into active, suggested action) for each
+        # active hypothesis with a claim, best rank first; the blank makes
+        # no claim on the empty plan
+        self.ranking: list[tuple[int, Action]] = []
         # checkpoints[d]: the state after confirming the plan's first d actions,
-        # as (copies of the active hypotheses, len(frozen)), for d up to its length
-        self.checkpoints: list[tuple[list[Hypothesis], int]] = [([self.blank._shell()], 0)]
-        # select's ranking: ((the active list it ranks, plan bytes), the
-        # _proposals entries of that list that have a proposal)
-        self._ranked: tuple[tuple[list[Hypothesis] | None, bytes], list] = ((None, b""), [])
+        # as (copies of the active hypotheses, len(frozen), ranking), for d up
+        # to its length
+        self.checkpoints: list[tuple[list[Hypothesis], int, list]] = [
+            ([self.blank._shell()], 0, self.ranking)]
 
     @staticmethod
     def _rank(h: Hypothesis, got) -> tuple:
@@ -474,7 +478,7 @@ class SketchPool:
         """Advance the pool by the newest action of `actions`, which must be
         one longer than the plan of the latest confirmation or rebuild (else
         ValueError), and save its checkpoint. The proposals that rank the
-        pool also seed `select`'s ranking of the new active set."""
+        pool also give `select`'s ranking of the new active set."""
         if len(actions) != len(self.checkpoints):
             raise ValueError(f"{len(actions)} actions do not extend the latest plan "
                              f"of {len(self.checkpoints) - 1}")
@@ -496,18 +500,20 @@ class SketchPool:
         # no suggestion reads a frozen hypothesis: past the cap, drop the newest
         self.frozen.extend(h for _, h, _ in ranked[keep:])
         del self.frozen[max(0, self.mem_cap - len(self.active)):]
-        active = sorted(self._proposals([self.blank], pb) + ranked[:keep], key=itemgetter(0))
-        self._ranked = (self.active, pb), [entry for entry in active if entry[2] is not None]
-        self.checkpoints.append(([h._shell() for h in self.active], len(self.frozen)))
+        tracked = self._proposals([self.blank], pb) + ranked[:keep]  # in active order
+        order = sorted(range(len(tracked)), key=lambda i: tracked[i][0])
+        self.ranking = [(i, tracked[i][2][0]) for i in order if tracked[i][2] is not None]
+        self.checkpoints.append(([h._shell() for h in self.active], len(self.frozen),
+                                 self.ranking))
 
     def rebuild(self, n: int) -> None:
         """Return to the state after confirming the first `n` actions of the
-        plan, as after a backtrack: restore copies of checkpoint `n`. Raises
-        ValueError unless 0 <= n <= the plan length."""
+        plan, as after a backtrack: restore copies of checkpoint `n` and its
+        ranking. Raises ValueError unless 0 <= n <= the plan length."""
         if not 0 <= n < len(self.checkpoints):
             raise ValueError(f"cannot cut a plan of {len(self.checkpoints) - 1} actions to {n}")
         del self.checkpoints[n + 1:]
-        active, n_frozen = self.checkpoints[n]
+        active, n_frozen, self.ranking = self.checkpoints[n]
         self.active = [h._shell() for h in active]
         del self.frozen[n_frozen:]
         self.blank = self.active[0]
@@ -515,25 +521,14 @@ class SketchPool:
 
     # -- selection ----------------------------------------------------------------
 
-    def select(self, actions, excluded: set[Action]):
-        """Best-ranked eligible active hypothesis and its suggestion.
+    def select(self, excluded: set[Action]):
+        """Best-ranked eligible active hypothesis and its suggestion, or None.
 
-        Eligible = suggests an action outside `excluded`. The active
-        hypotheses' proposals are ranked once per plan state, keyed on the
-        `active` list object and the plan bytes: the pool only ever replaces
-        that list, never changes it in place, and a hypothesis changes only
-        while a confirmation builds the next list. `on_confirmed` stores the
-        ranking of the list it builds.
-        """
-        pb = bytes(actions)
-        key, ranked = self._ranked
-        if key[0] is not self.active or key[1] != pb:
-            ranked = [entry for entry in self._proposals(self.active, pb)
-                      if entry[2] is not None]
-            self._ranked = (self.active, pb), ranked
-        for _, h, (a, _) in ranked:
+        Eligible = suggests an action outside `excluded`. The ranking is the
+        one the latest confirmation or rebuild left."""
+        for i, a in self.ranking:
             if a not in excluded:
-                return h, a
+                return self.active[i], a
         return None
 
 
@@ -545,7 +540,7 @@ class SketchPoolSuggester(ActionSuggester):
         self.pool = SketchPool(sketch, horizon, n_active=n_active, optimistic=optimistic)
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
-        picked = self.pool.select(plan.confirmed, excluded)
+        picked = self.pool.select(excluded)
         return None if picked is None else picked[1]
 
     def on_confirmed(self, plan: PartialPlan) -> None:

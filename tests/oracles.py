@@ -250,7 +250,7 @@ def optimistic_claim_every_r(h, pb: bytes):
 def select_scan(pool, actions, excluded: set[Action]):
     """Oracle for `SketchPool.select`: ranks every active hypothesis's
     proposal on every call, each computed on a fresh copy that holds no
-    memo, where the library ranks once per plan state."""
+    memo, where the library keeps one ranking per plan length."""
     pb = bytes(actions)
     best = min(((pool._rank(h, got), h, got[0]) for h in pool.active
                 if (got := h._shell().proposal(pb, pool.optimistic)) is not None

@@ -108,7 +108,7 @@ def test_demo_file_bad_inputs():
     with pytest.raises(ValueError):
         read_demo_file("H=1 A=0\nz1\n")
     # the header is exactly H=<int> A=<int>, quoted when it is not
-    for header in ("5 3", "H=1 A=2 junk"):
+    for header in ("5 3", "H=1 A=2 junk", "H=0 A=2"):
         with pytest.raises(ValueError, match=repr(header)):
             read_demo_file(f"{header}\nz1\n")
     # a token line is one word, as write_demo_file insists; lines count from 1

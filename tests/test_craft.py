@@ -149,6 +149,8 @@ RAFT_MAP = "KWW\n.@W\n~~~\n.I."
 
 @pytest.mark.parametrize("map_text", [ISLAND_MAP, GEM_MAP, RAFT_MAP], ids=["island", "gem", "raft"])
 def test_cached_tail_matches_a_fresh_serialization(map_text):
+    """Random play through the memoised `Env.step`: every token it returns,
+    and the state it leaves, match the state serialized afresh."""
     env = GridCraftEnv(map_text)
     rng = random.Random(0)
     changes = 0

@@ -4,7 +4,9 @@ import pytest
 
 from procsearch import cli
 from procsearch.agents import ConfigError, run_agent
+from procsearch.core import Sketch, Task
 from procsearch.envs import make_task
+from procsearch.envs.scripted import ScriptedEnv
 from procsearch.harness import (
     RunConfig, RunRecord, field_type, learning_curves_svg, parse_sweep_spec, run,
     summarize, summary_csv, sweep,
@@ -50,6 +52,21 @@ def test_sketch_agent_requires_sketch():
         run(RunConfig(env="chain", agent="plots_sketch", seed=0))
     with pytest.raises(ConfigError):
         run(RunConfig(env="chain", agent="bpsosa", seed=0))
+
+
+def test_byte_plan_agents_reject_more_than_256_actions():
+    def task(n_actions):
+        script = (n_actions - 1, n_actions - 1, 5, n_actions - 1)
+        return Task("wide", lambda: ScriptedEnv(n_actions, script), script,
+                    Sketch(("a", "a", "b", "a")))
+
+    wide, widest_byte = task(300), task(256)
+    for agent in ("plots_sketch", "plots_nosketch"):
+        with pytest.raises(ConfigError, match=f"agent {agent} takes at most 256 actions, "
+                                              "env 'wide' has n_actions=300"):
+            run_agent(agent, wide, wide.demo(), 0, 10000)
+        assert run_agent(agent, widest_byte, widest_byte.demo(), 0, 10000).complete
+    assert run_agent("bps", wide, wide.demo(), 0, 10000).complete
 
 
 def test_parse_sweep_spec_blocks_and_ranges():

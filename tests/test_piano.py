@@ -77,6 +77,8 @@ def test_demo_is_aliased():
 
 
 def test_table_matches_the_arithmetic_on_every_hand_and_action():
+    """From every hand position, each action through the memoised `Env.step`
+    gives the hand and token of the hand arithmetic."""
     for wrist in range(N_KEYS):
         for thumb in range(THUMB_MIN, 1):
             for a in range(PianoEnv.n_actions):
@@ -90,6 +92,8 @@ def test_table_matches_the_arithmetic_on_every_hand_and_action():
 
 
 def test_table_matches_the_arithmetic_on_random_sequences():
+    """Random action sequences through the memoised `Env.step` follow the
+    hand arithmetic step by step, across resets."""
     rng = random.Random(0)
     for start in range(N_KEYS):
         env = PianoEnv(start_wrist=start)

@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from procsearch.core import record_demonstration
+from procsearch.core import Sketch, record_demonstration
 from procsearch.envs.scripted import ScriptedEnv
 from procsearch.repeats import RepeatPoolSuggester, RepeatStore, brute_force_repeat_counts
 from procsearch.search import PartialPlan, UniformSuggester, backtrack, learn
+from procsearch.sketch import SketchPool, SketchPoolSuggester
 from tests.oracles import brute_force_suggest_ranked, suggest_ranked_trie_walk
 from tests.test_sketch import EXCLUDED_SETS
 
@@ -178,8 +179,8 @@ def test_confirm_and_backtrack_match_the_oracles(data):
 # a truncate, then regrowth to the same length with other actions
 @example([0, 1], [(-2, False), (-2, False), (-2, True), (-1, False), (2, True)])
 def test_suggest_matches_a_fresh_ranking_at_every_plan_state(motif, ops):
-    """The cached ranking answers like a store counted afresh from the plan,
-    whether or not suggest ran at the states in between."""
+    """The ranking kept per plan length answers like a store counted afresh
+    from the plan, whether or not suggest ran at the states in between."""
     sug = RepeatPoolSuggester()
     plan = PartialPlan(3)
     for op, check in ops:
@@ -196,3 +197,35 @@ def test_suggest_matches_a_fresh_ranking_at_every_plan_state(motif, ops):
             for excluded in EXCLUDED_SETS:
                 want = next((a for a in ranked if a not in excluded), None)
                 assert sug.suggest(plan, excluded) == want
+
+
+@pytest.mark.parametrize("make, ranker", [
+    (lambda: SketchPoolSuggester(Sketch(("x", "y", "x", "y")), horizon=8),
+     (SketchPool, "_proposals")),
+    (RepeatPoolSuggester, (RepeatStore, "suggest_ranked")),
+], ids=["sketch", "repeats"])
+def test_suggest_after_a_backtrack_does_not_rank_again(make, ranker, monkeypatch):
+    """A backtrack restores the ranking of the shorter plan with the rest of
+    the suggester's state for that length, so the next suggest only reads it."""
+    sug = make()
+    plan = PartialPlan(3)
+    for a in (E, E, F, E, E, E):
+        plan.confirm(a)
+        sug.on_confirmed(plan)
+    backtrack(plan, sug)
+    owner, name = ranker
+    ranks = []
+
+    def counted(*args, original=getattr(owner, name)):
+        ranks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    got = [sug.suggest(plan, excluded) for excluded in EXCLUDED_SETS]
+    assert ranks == []
+    monkeypatch.undo()
+    fresh = make()
+    for t in range(1, plan.frontier + 1):
+        fresh.on_confirmed(SimpleNamespace(confirmed=plan.confirmed[:t]))
+    assert got == [fresh.suggest(plan, excluded) for excluded in EXCLUDED_SETS]
+    assert got[0] is not None

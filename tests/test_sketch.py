@@ -191,7 +191,7 @@ def test_branch_count_bounded_by_half_horizon():
             assert all(key[-1] == t for key in pool.seen)
             assert len(pool.seen) <= seen_cap
             # one checkpoint per plan depth, each at most the active set
-            saved = sum(len(active) for active, _ in pool.checkpoints)
+            saved = sum(len(active) for active, _, _ in pool.checkpoints)
             assert saved <= pool.n_active * (t + 1)
         assert pool.max_branch_per_parent <= horizon / 2
         assert pool.stored_count() <= 4 * horizon * horizon
@@ -204,20 +204,24 @@ def test_select_prefers_higher_score():
     hi = Hypothesis(sk, {"x": (E,), "y": (F, G)}, [], 0)
     hi._enter(0, 0)
     pool = SketchPool(Sketch(sk), horizon=12, n_active=4)
-    pool.active = [lo, hi]
-    picked = pool.select([], excluded=set())
-    assert picked == (hi, E)
+    ranked = pool._proposals([lo, hi], b"")
+    assert [(h, got[0]) for _, h, got in ranked] == [(hi, E), (lo, E)]
     assert hi.score() > lo.score()
 
 
 def test_select_skips_excluded_suggestion():
-    sk = ("x", "y", "x")
-    h = Hypothesis(sk, {"x": (E,)}, [], 0)
-    h._enter(0, 0)
-    pool = SketchPool(Sketch(sk), horizon=6, n_active=2)
-    pool.active = [h]
-    assert pool.select([], excluded={E}) is None
-    assert pool.select([], excluded=set()) == (h, E)
+    sk = ("x", "y", "x", "y")
+    plan = [E, E, F, E, E]
+    pool = SketchPool(Sketch(sk), horizon=8, n_active=4)
+    feed(pool, plan)
+    # the best claim says E, and so does the blank; the best claim of F is next
+    best = next(h for h in pool.active if h.assigned == {"x": (E,), "y": (E, F, E)})
+    second = next(h for h in pool.active if h.assigned == {"x": (E, E), "y": (F,)})
+    assert pool.select(excluded=set()) == (best, E)
+    assert pool.select(excluded={E}) == (second, F)
+    assert pool.select(excluded={E, F}) is None
+    for excluded in ({E}, {F}, {E, F}, {G}):
+        assert pool.select(excluded) == select_scan(pool, plan, excluded)
 
 
 def test_select_tie_break_more_assignments_then_age():
@@ -230,13 +234,11 @@ def test_select_tie_break_more_assignments_then_age():
     b.created = 9
     assert a.score() == b.score() == 4
     pool = SketchPool(Sketch(sk), horizon=8, n_active=4)
-    pool.active = [a, b]
-    assert pool.select([], excluded=set())[0] is b  # more assigned labels
+    assert pool._proposals([a, b], b"")[0][1] is b  # more assigned labels
     c = Hypothesis(sk, {"x": (E, F)}, [], 0)
     c._enter(0, 0)
     c.created = 1
-    pool.active = [a, c]
-    assert pool.select([], excluded=set())[0] is c  # older wins the tie
+    assert pool._proposals([a, c], b"")[0][1] is c  # older wins the tie
 
 
 def test_active_capacity_respected():
@@ -398,8 +400,9 @@ EXCLUDED_SETS = [set(), {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}]
 @example(["b1", "b2", "b2"], [(2, False), (2, False), (0, False), (2, True), (-1, False),
                               (2, False), (1, False), (0, False), (-1, False), (-1, True)], 2, 4)
 def test_select_matches_the_scan_oracle_at_every_plan_state(labels, ops, horizon, n_active):
-    """The cached ranking answers like a fresh scan of the active set after
-    confirmations and backtracks, whether or not select ran in between."""
+    """The ranking kept per plan length answers like a fresh scan of the
+    active set after confirmations and backtracks, whether or not select ran
+    in between."""
     sketch = Sketch(tuple(labels))
     pool = SketchPool(sketch, horizon=horizon, n_active=n_active)
     plan = []
@@ -412,7 +415,7 @@ def test_select_matches_the_scan_oracle_at_every_plan_state(labels, ops, horizon
             pool.rebuild(len(plan))
         if check:
             for excluded in EXCLUDED_SETS:
-                assert pool.select(plan, excluded) == select_scan(pool, plan, excluded)
+                assert pool.select(excluded) == select_scan(pool, plan, excluded)
 
 
 @settings(max_examples=80, deadline=None)
