@@ -103,9 +103,6 @@ class Sketch:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __getitem__(self, i):
-        return self.elements[i]
-
     @property
     def labels(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}

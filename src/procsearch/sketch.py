@@ -37,15 +37,15 @@ becomes ineligible at that position (the action lands in the frontier's
 failed set); it is eliminated only when a confirmed action contradicts its
 alignment.
 
-After each confirmation the pool saves a checkpoint of that plan length:
-copies of the active hypotheses (confirmations advance them in place), the
-length of the frozen list and the ranking of the active suggestions. Frozen
-hypotheses are never changed, and the list only grows at its tail; it grows
-only while the active set is full, when its cap is at its lowest, so the cap
-only ever drops hypotheses frozen by the same confirmation. A backtrack only
-cuts the plan short, so it restores copies of the checkpoint at the new
-length, its ranking, and cuts the frozen list back to its length, instead of
-replaying the plan from the start or ranking again.
+The pool never changes a hypothesis it holds; a confirmation advances
+copies of the active ones. So the checkpoint each confirmation saves for its
+plan length shares those hypotheses: the active set, the length of the
+frozen list and the ranking of the active suggestions. The latest one is the
+pool's state. The frozen list only grows at its tail; it grows only while
+the active set is full, when its cap is at its lowest, so the cap only ever
+drops hypotheses frozen by the same confirmation. A backtrack only cuts the
+plan short, so it cuts the checkpoints and the frozen list back to the new
+length, instead of replaying the plan from the start or ranking again.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class Hypothesis:
     assignment) or an open run starting at element `run_elem` that has
     absorbed the plan since position `run_pos0`. `_site` memoises
     `_repeat_site` until `advance` moves the alignment on; the pool builds
-    a new hypothesis from a fresh `_shell`, which has no memo yet.
+    and advances only fresh `_shell` copies, which have no memo yet.
     """
 
     __slots__ = ("sketch", "assigned", "layout", "elem", "offset",
@@ -288,29 +288,26 @@ class SketchPool:
                  optimistic: bool = True):
         if n_active < 1:
             raise ValueError("need at least one active hypothesis slot")
-        self.sketch = tuple(sketch.elements)
-        self.horizon = horizon
         self.n_active = n_active
         self.optimistic = optimistic
         self.mem_cap = max(16, 4 * horizon * horizon)
         self.branch_cap = max(1, horizon // 2)
-        self.blank = Hypothesis.blank(self.sketch)
-        self.active: list[Hypothesis] = [self.blank]
         self.frozen: list[Hypothesis] = []
         # keys adopted by the latest confirmation; older keys cannot recur,
         # since a child adopted at plan length t has consumed == t
         self.seen: set = set()
         self._created = 0
         self.max_branch_per_parent = 0  # high-water mark, for property tests
-        # select's ranking: (index into active, suggested action) for each
-        # active hypothesis with a claim, best rank first; the blank makes
-        # no claim on the empty plan
-        self.ranking: list[tuple[int, Action]] = []
         # checkpoints[d]: the state after confirming the plan's first d actions,
-        # as (copies of the active hypotheses, len(frozen), ranking), for d up
-        # to its length
+        # for d up to its length: (the active hypotheses, the blank first,
+        # len(frozen), select's ranking of (hypothesis, claimed action) pairs)
         self.checkpoints: list[tuple[list[Hypothesis], int, list]] = [
-            ([self.blank._shell()], 0, self.ranking)]
+            ([Hypothesis.blank(tuple(sketch.elements))], 0, [])]
+
+    @property
+    def active(self) -> list[Hypothesis]:
+        """The tracked hypotheses of the latest checkpoint, the blank first."""
+        return self.checkpoints[-1][0]
 
     @staticmethod
     def _rank(h: Hypothesis, got) -> tuple:
@@ -488,35 +485,32 @@ class SketchPool:
         kids: list[Hypothesis] = []
         for parent in self.active:
             kids.extend(self.run_splits(parent, pb, a))
-        self.active = [h for h in self.active if h.advance(a)]
-        pool = [h for h in self.active if h is not self.blank] + kids
-        for parent in (self.blank, *pool[:]):
+        # advance copies: the hypotheses of earlier checkpoints stay as they were
+        blank, *rest = (h._shell() for h in self.active)
+        blank.advance(a)  # no assignment, so nothing to contradict
+        pool = [h for h in rest if h.advance(a)] + kids
+        for parent in (blank, *pool):
             new = self.branch(parent, pb)
             self.max_branch_per_parent = max(self.max_branch_per_parent, len(new))
             pool.extend(new)
         ranked = self._proposals(pool, pb)
         keep = self.n_active - 1  # the blank permanently holds one slot
-        self.active = [self.blank] + [h for _, h, _ in ranked[:keep]]
+        active = [blank] + [h for _, h, _ in ranked[:keep]]
         # no suggestion reads a frozen hypothesis: past the cap, drop the newest
         self.frozen.extend(h for _, h, _ in ranked[keep:])
-        del self.frozen[max(0, self.mem_cap - len(self.active)):]
-        tracked = self._proposals([self.blank], pb) + ranked[:keep]  # in active order
-        order = sorted(range(len(tracked)), key=lambda i: tracked[i][0])
-        self.ranking = [(i, tracked[i][2][0]) for i in order if tracked[i][2] is not None]
-        self.checkpoints.append(([h._shell() for h in self.active], len(self.frozen),
-                                 self.ranking))
+        del self.frozen[max(0, self.mem_cap - len(active)):]
+        tracked = sorted(self._proposals([blank], pb) + ranked[:keep], key=itemgetter(0))
+        ranking = [(h, got[0]) for _, h, got in tracked if got is not None]
+        self.checkpoints.append((active, len(self.frozen), ranking))
 
     def rebuild(self, n: int) -> None:
         """Return to the state after confirming the first `n` actions of the
-        plan, as after a backtrack: restore copies of checkpoint `n` and its
-        ranking. Raises ValueError unless 0 <= n <= the plan length."""
+        plan, as after a backtrack: cut the checkpoints and the frozen list
+        back to it. Raises ValueError unless 0 <= n <= the plan length."""
         if not 0 <= n < len(self.checkpoints):
             raise ValueError(f"cannot cut a plan of {len(self.checkpoints) - 1} actions to {n}")
         del self.checkpoints[n + 1:]
-        active, n_frozen, self.ranking = self.checkpoints[n]
-        self.active = [h._shell() for h in active]
-        del self.frozen[n_frozen:]
-        self.blank = self.active[0]
+        del self.frozen[self.checkpoints[n][1]:]
         self.seen = set()
 
     # -- selection ----------------------------------------------------------------
@@ -526,9 +520,9 @@ class SketchPool:
 
         Eligible = suggests an action outside `excluded`. The ranking is the
         one the latest confirmation or rebuild left."""
-        for i, a in self.ranking:
+        for h, a in self.checkpoints[-1][2]:
             if a not in excluded:
-                return self.active[i], a
+                return h, a
         return None
 
 

@@ -167,6 +167,8 @@ def is_consistent(h, plan_actions) -> bool:
     if h.consumed > len(plan_actions):
         return False
     for elem_lo, elem_hi, pos_lo, pos_end in h.layout:
+        if pos_end - pos_lo < h._min_span(elem_lo, elem_hi + 1):
+            return False  # too short for the elements it closes
         if elem_lo == elem_hi and h.sketch[elem_lo] in h.assigned:
             content = h.assigned[h.sketch[elem_lo]]
             if pos_end - pos_lo != len(content):

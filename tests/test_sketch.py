@@ -23,6 +23,11 @@ def feed(pool, plan):
         pool.on_confirmed(list(plan[:i]))
 
 
+def is_blank(h):
+    """The blank hypothesis assigns nothing, so its open run starts at element 0."""
+    return not h.assigned and h.run_elem == 0
+
+
 def assignments(pool):
     out = []
     for h in pool.active + pool.frozen:
@@ -62,9 +67,9 @@ def test_score_worked_example_is_two():
 
 def test_empty_hypothesis_scores_zero():
     pool = SketchPool(Sketch(("b1", "b2", "b1")), horizon=8)
-    assert pool.blank.score() == 0
+    assert pool.active[0].score() == 0
     feed(pool, (E, F))
-    assert pool.blank.score() == 0
+    assert pool.active[0].score() == 0
 
 
 def test_score_partial_assignment_cross_check():
@@ -246,7 +251,7 @@ def test_active_capacity_respected():
     feed(pool, (E, F, G, E, F))
     # blank plus two children exist; only blank + best child stay active
     assert len(pool.active) == 2
-    assert pool.blank in pool.active
+    assert is_blank(pool.active[0])
     assert len(pool.frozen) == 1
 
 
@@ -296,6 +301,22 @@ def test_active_hypotheses_stay_consistent(data):
         assert is_consistent(h, plan)
         for elem, start, end in exact_segments(h):
             assert tuple(plan[start:end]) == h.assigned[sketch.elements[elem]]
+
+
+def test_a_child_two_parents_reach_is_adopted_once():
+    pool = SketchPool(Sketch(("b1", "b1", "b0", "b0", "b1", "b2", "b0")), horizon=18,
+                      n_active=8)
+    feed(pool, [1] * 7)
+    keys = [h.key() for h in pool.active + pool.frozen]
+    assert len(keys) == len(set(keys)) == 12
+
+
+def test_a_region_too_short_for_its_elements_is_refused():
+    plan = [2, 2, 0, 2, 2, 2, 1, 2]
+    pool = SketchPool(Sketch(("b2", "b3", "b1", "b2", "b1", "b0", "b3")), horizon=20,
+                      n_active=3)
+    feed(pool, plan)
+    assert all(is_consistent(h, plan) for h in pool.active + pool.frozen)
 
 
 def pool_keys(pool):
@@ -351,7 +372,7 @@ def test_backtrack_rebuild_matches_fresh_pool(labels, plan, cut, n_active):
     fresh = SketchPool(sketch, horizon=14, n_active=n_active)
     feed(fresh, plan[:cut])
     assert pool_keys(pool) == pool_keys(fresh)
-    assert pool.blank in pool.active
+    assert is_blank(pool.active[0])
 
 
 def pool_state(pool):
@@ -384,7 +405,7 @@ def test_backtracks_restore_what_a_fresh_pool_reaches(labels, ops, horizon, n_ac
             fresh = SketchPool(sketch, horizon=horizon, n_active=n_active)
             feed(fresh, plan)
             assert pool_state(pool) == pool_state(fresh)
-            assert pool.active[0] is pool.blank
+            assert is_blank(pool.active[0])
             assert len(pool.checkpoints) == len(plan) + 1
 
 
