@@ -75,7 +75,8 @@ def main(argv=None) -> int:
             print(f"wrote {args.out} (H={demo.horizon})")
             return 0
     except (ConfigError, KeyError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key, quotes and all
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return 2
     return 2
 

@@ -36,6 +36,10 @@ class Env:
     `n_actions`. Replaying an action sequence from reset yields the same
     tokens. The rows are per instance and link to each other, so they are
     cleared when the env is released.
+
+    `run(actions)` steps through a batch with the checks made once for the
+    whole batch; it is equal to a loop of `step`. A subclass or a patch
+    that overrides `step` gets that loop, so it sees every action.
     """
 
     n_actions: int = 0
@@ -68,6 +72,47 @@ class Env:
         self._row, tok = nxt
         return tok
 
+    def run(self, actions) -> Obs | None:
+        """Step through the sequence `actions`; return the last token, or
+        None for an empty batch.
+
+        The same state and token as a loop of `step`, with its checks made
+        once for the whole batch: a batch that fails them takes no step.
+        The batch check compares actions with the ids by equality, so an
+        int-like index such as numpy's int64 passes where `step` refuses
+        it. When `step` is overridden, by a subclass or a patch on `Env`,
+        `run` is that loop, so the override sees every action.
+        """
+        if type(self).step is not _ENV_STEP:
+            tok = None
+            for a in actions:
+                tok = self.step(a)
+            return tok
+        if not self._was_reset:
+            raise ContractViolation("run() before reset()")
+        n = self.n_actions
+        ids = _ACTION_IDS.get(n) or _ACTION_IDS.setdefault(n, frozenset(range(n)))
+        try:
+            valid = ids.issuperset(actions)
+        except TypeError:  # an unhashable action
+            valid = False
+        if not valid:
+            bad = next(a for a in actions if not (isinstance(a, int) and 0 <= a < n))
+            raise ContractViolation(f"invalid action id {bad!r} (|A|={n})")
+        row = self._row
+        nxt = row, None
+        for a in actions:
+            try:
+                nxt = row[a]
+            except TypeError:  # equal to an id but not an int, such as 1.0
+                raise ContractViolation(f"invalid action id {a!r} (|A|={n})") from None
+            if nxt is None:
+                state, tok = self._transition(row[-1], a)
+                nxt = row[a] = self._row_of(state), tok
+            row = nxt[0]
+        self._row, tok = nxt
+        return tok
+
     @property
     def state(self):
         """The latent state; the start state until the first reset."""
@@ -84,6 +129,10 @@ class Env:
 
     def _transition(self, state, a: Action) -> tuple:
         raise NotImplementedError
+
+
+_ENV_STEP = Env.step  # `run` walks the rows only while this is the step in use
+_ACTION_IDS: dict[int, frozenset[int]] = {}  # n -> frozenset(range(n)), for `run`
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ one step and rules the unrolled action out at that position.
 Action selection is pluggable: BPS uses a uniform suggester, the smarter
 agents plug in sketch-hypothesis, repeat-mining or oracle-aligned suggesters.
 
-Every step of an episode, replay and burn-out included, goes through
-`env.step`, so the environment's contract checks see each one; a burn-out
-action is drawn exactly as `rng.randrange(n_actions)` would draw it.
+An episode replays the confirmed prefix with one `env.run` batch and burns
+out with another, so the environment checks each batch once; frontier steps
+go through `env.step`. A burn-out action is drawn exactly as
+`rng.randrange(n_actions)` would draw it.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
     (or until completion). Signals a dead end without acting if the
     frontier has no candidate actions left.
 
-    Every step, replay and burn-out included, is an `env.step` call. A
-    burn-out action is `rng.randrange(n_actions)` unrolled: the same
-    `getrandbits` draws, rejecting values of n_actions or more.
+    The replay is one `env.run` of the prefix and the burn-out one
+    `env.run` of the drawn actions; each frontier step is an `env.step`
+    call. A burn-out action is `rng.randrange(n_actions)` unrolled: the
+    same `getrandbits` draws, rejecting values of n_actions or more.
     """
     horizon = demo.horizon
     if plan.frontier_exhausted():
@@ -131,8 +133,7 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
 
     step = env.step
     env.reset()
-    for a in plan.confirmed:
-        step(a)
+    env.run(plan.confirmed)
     steps = start = len(plan.confirmed)  # at the frontier, steps == frontier
 
     n = plan.n_actions
@@ -153,11 +154,13 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
             plan.reject(a)
             suggester.on_failed(plan, a)
             getrandbits, k = rng.getrandbits, n.bit_length()
+            burn = []
             for _ in range(steps + 1, horizon):
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
-                step(r)
+                burn.append(r)
+            env.run(burn)
             return EpisodeResult(steps, horizon, steps > start, dead_end=False)
     return EpisodeResult(steps, steps, steps > start, dead_end=False)
 

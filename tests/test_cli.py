@@ -29,6 +29,15 @@ def test_run_unknown_env_exits_nonzero(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_demo_gen_unknown_env_prints_the_message_unquoted(tmp_path, capsys):
+    rc = main(["demo-gen", "--env", "nope", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown environment 'nope'; known: [")
+    assert '"' not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_demo_gen_writes_demo_format(tmp_path):
     out = tmp_path / "cpr.txt"
     rc = main(["demo-gen", "--env", "cpr", "--out", str(out)])

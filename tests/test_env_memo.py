@@ -3,15 +3,18 @@
 `core.Env` fills one row per latent state from `_transition` and steps by
 lookup, so these properties run every env long enough for the memo to be
 warm and check each token against a rule that reads no memo, and against a
-fresh instance whose memo is cold.
+fresh instance whose memo is cold. `Env.run` walks the same rows for a
+batch, so it is checked against a loop of `step`.
 """
 
 import gc
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from procsearch.core import ContractViolation
+from procsearch.core import ContractViolation, Env
 from procsearch.envs import ENV_REGISTRY, make_task
 from procsearch.envs.craft import ACTION_NAMES as CRAFT_ACTIONS, GridCraftEnv
 from procsearch.envs.piano import N_KEYS, PianoEnv
@@ -146,3 +149,104 @@ def test_piano_memo_holds_at_most_96_hands():
         for _ in range(200):
             env.step(rng.randrange(env.n_actions))
     assert 24 < len(env._rows) <= N_KEYS * 4 == 96
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_run_refuses_a_bad_batch_and_takes_no_step(name):
+    env = FACTORIES[name]()
+    with pytest.raises(ContractViolation, match="before reset"):
+        env.run([0])
+    assert env.state == env._start()[0]
+    rng, n = random.Random(name), env.n_actions
+    env.reset()
+    env.run([rng.randrange(n) for _ in range(20)])
+    state = env.state
+    for bad in (n, -1, 0.5, float(n - 1), "0", None, [0]):
+        # the bad action last, so the good ones before it are not stepped
+        with pytest.raises(ContractViolation, match="invalid action id"):
+            env.run([rng.randrange(n) for _ in range(5)] + [bad])
+        assert env.state == state
+    assert env.run([]) is None
+    assert env.state == state
+
+
+@pytest.mark.parametrize("exc", [TypeError, ValueError])
+def test_run_does_not_relabel_a_transition_error(exc):
+    class Broken(Env):
+        n_actions = 2
+
+        def _start(self):
+            return 0, "s"
+
+        def _transition(self, state, a):
+            if a == 1:
+                raise exc("no transition for 1")
+            return state + 1, "s"
+
+    env = Broken()
+    env.reset()
+    with pytest.raises(exc, match="no transition") as raised:
+        env.run([0, 0, 1])
+    assert type(raised.value) is exc
+
+
+def craft_factories():
+    return st.sampled_from(["island", "gem", "raft"]).map(FACTORIES.__getitem__)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(0, 2**16).map(aliased_factory), craft_factories()), st.data())
+def test_run_equals_a_loop_of_step_from_a_cold_and_a_warm_memo(factory, data):
+    n = factory().n_actions
+    prefix = data.draw(st.lists(st.integers(0, n - 1), max_size=20), label="prefix")
+    batch = data.draw(st.lists(st.integers(0, n - 1), max_size=40), label="batch")
+    looped = factory()
+    looped.reset()
+    for a in prefix:
+        looped.step(a)
+    toks = [looped.step(a) for a in batch]
+    want = looped.state, toks[-1] if toks else None
+    cold = factory()
+    cold.reset()
+    cold.run(prefix)
+    tok = cold.run(batch)
+    assert (cold.state, tok) == want
+    looped.reset()  # its memo now holds every transition of the batch
+    looped.run(prefix)
+    tok = looped.run(batch)
+    assert (looped.state, tok) == want
+
+
+def test_run_steps_through_an_overriding_step():
+    class Logged(PianoEnv):
+        def __init__(self):
+            super().__init__()
+            self.log = []
+
+        def step(self, a):
+            self.log.append(a)
+            return super().step(a)
+
+    batch, plain = [3, 0, 8, 8, 5, 1], PianoEnv()
+    plain.reset()
+    want = [plain.step(a) for a in batch][-1]
+    env = Logged()
+    env.reset()
+    assert env.run(batch) == want
+    assert env.log == batch and env.state == plain.state
+
+
+def test_run_steps_through_a_patched_env_step():
+    seen, step = [], Env.step
+
+    def counted(env, a):
+        seen.append(a)
+        return step(env, a)
+
+    batch, env = [2, 7, 7, 0, 4], PianoEnv()
+    env.reset()
+    with mock.patch.object(Env, "step", counted):
+        env.run(batch)
+        with pytest.raises(ContractViolation):
+            env.run([1, 9])  # checked by the patched step, one action at a time
+    assert seen == batch + [1, 9]
