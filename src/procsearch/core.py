@@ -38,8 +38,10 @@ class Env:
     cleared when the env is released.
 
     `run(actions)` steps through a batch with the checks made once for the
-    whole batch; it is equal to a loop of `step`. A subclass or a patch
-    that overrides `step` gets that loop, so it sees every action.
+    whole batch, and `burn(rng, m)` takes `m` steps with actions drawn as
+    `rng.randrange(n_actions)` draws them, each walked in the loop that
+    draws it; both are equal to a loop of `step`. A subclass or a patch that
+    overrides `step` gets that loop, so it sees every action.
     """
 
     n_actions: int = 0
@@ -73,8 +75,8 @@ class Env:
         return tok
 
     def run(self, actions) -> Obs | None:
-        """Step through the sequence `actions`; return the last token, or
-        None for an empty batch.
+        """Step through the iterable `actions`, which is read once; return
+        the last token, or None for an empty batch.
 
         The same state and token as a loop of `step`, with its checks made
         once for the whole batch: a batch that fails them takes no step.
@@ -90,6 +92,8 @@ class Env:
             return tok
         if not self._was_reset:
             raise ContractViolation("run() before reset()")
+        if not isinstance(actions, (list, tuple)):  # the check below reads it too
+            actions = tuple(actions)
         n = self.n_actions
         ids = _ACTION_IDS.get(n) or _ACTION_IDS.setdefault(n, frozenset(range(n)))
         try:
@@ -113,6 +117,43 @@ class Env:
         self._row, tok = nxt
         return tok
 
+    def burn(self, rng, m: int) -> None:
+        """Take `m` steps with random actions, each drawn exactly as
+        `rng.randrange(n_actions)` draws it: `getrandbits(k)` for the bit
+        length `k` of n_actions, drawn again while it is n_actions or more.
+
+        The same state and the same draws as a loop of
+        `step(rng.randrange(n_actions))`; the draws are ids by construction,
+        so only the reset is checked, before anything is drawn. When `step`
+        is overridden, `burn` is that loop over the same draws, and the
+        override makes the checks.
+        """
+        n = self.n_actions
+        if n < 1 and m > 0:  # randrange(0) raises; this draw would never end
+            raise ContractViolation("burn() with no action to draw")
+        getrandbits, k = rng.getrandbits, n.bit_length()
+        if type(self).step is not _ENV_STEP:
+            step = self.step
+            for _ in range(m):
+                a = getrandbits(k)
+                while a >= n:
+                    a = getrandbits(k)
+                step(a)
+            return
+        if not self._was_reset:
+            raise ContractViolation("burn() before reset()")
+        row = self._row
+        for _ in range(m):
+            a = getrandbits(k)
+            while a >= n:
+                a = getrandbits(k)
+            nxt = row[a]
+            if nxt is None:
+                state, tok = self._transition(row[-1], a)
+                nxt = row[a] = self._row_of(state), tok
+            row = nxt[0]
+        self._row = row
+
     @property
     def state(self):
         """The latent state; the start state until the first reset."""
@@ -131,7 +172,7 @@ class Env:
         raise NotImplementedError
 
 
-_ENV_STEP = Env.step  # `run` walks the rows only while this is the step in use
+_ENV_STEP = Env.step  # `run` and `burn` walk the rows only while this is the step in use
 _ACTION_IDS: dict[int, frozenset[int]] = {}  # n -> frozenset(range(n)), for `run`
 
 

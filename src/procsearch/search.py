@@ -12,10 +12,10 @@ one step and rules the unrolled action out at that position.
 Action selection is pluggable: BPS uses a uniform suggester, the smarter
 agents plug in sketch-hypothesis, repeat-mining or oracle-aligned suggesters.
 
-An episode replays the confirmed prefix with one `env.run` batch and burns
-out with another, so the environment checks each batch once; frontier steps
-go through `env.step`. A burn-out action is drawn exactly as
-`rng.randrange(n_actions)` would draw it.
+An episode replays the confirmed prefix with one `env.run` batch, so the
+environment checks it once, and burns out with one `env.burn`, which draws
+each action exactly as `rng.randrange(n_actions)` would and walks it in the
+same loop; frontier steps go through `env.step`.
 """
 
 from __future__ import annotations
@@ -123,9 +123,8 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
     frontier has no candidate actions left.
 
     The replay is one `env.run` of the prefix and the burn-out one
-    `env.run` of the drawn actions; each frontier step is an `env.step`
-    call. A burn-out action is `rng.randrange(n_actions)` unrolled: the
-    same `getrandbits` draws, rejecting values of n_actions or more.
+    `env.burn`, which draws its actions as `rng.randrange(n_actions)` does;
+    each frontier step is an `env.step` call.
     """
     horizon = demo.horizon
     if plan.frontier_exhausted():
@@ -153,14 +152,7 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
         else:
             plan.reject(a)
             suggester.on_failed(plan, a)
-            getrandbits, k = rng.getrandbits, n.bit_length()
-            burn = []
-            for _ in range(steps + 1, horizon):
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                burn.append(r)
-            env.run(burn)
+            env.burn(rng, horizon - steps - 1)
             return EpisodeResult(steps, horizon, steps > start, dead_end=False)
     return EpisodeResult(steps, steps, steps > start, dead_end=False)
 

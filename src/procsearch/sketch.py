@@ -235,6 +235,8 @@ class Hypothesis:
         action, the assumed content length, and how many times the main
         label occurs from the repeat on.
         """
+        if self.consumed == self.run_pos0:
+            return None  # an empty run holds no repeat yet: r_hi below is <= 0
         site = self._repeat_site()
         if site is None:
             return None
@@ -374,12 +376,14 @@ class SketchPool:
         that every candidate content fits the region (same recency gate as
         the optimistic rule).
         """
+        t = parent.consumed
+        longest = (t - parent.run_pos0) // 2
+        if longest < 1:
+            return []  # no repeat fits the run yet
         site = parent._repeat_site()
         if site is None:
             return []
-        m, j1, rep, _, cap, _, _, lo_rep, _ = site
-        t = parent.consumed
-        longest = (t - parent.run_pos0) // 2
+        m, j1, rep, lo_first, cap, _, mid_min, lo_rep, _ = site
         if longest > cap or rep == parent.run_elem:
             # a repeat that opens the run (first occurrence in a closed
             # region) must start at run_pos0, but every s2 = t - ln lies past it
@@ -388,17 +392,15 @@ class SketchPool:
         # one can only start at s2 - ln, the end of its window
         adjacent = rep == j1 + 1 and j1 >= parent.run_elem
         children: list[Hypothesis] = []
+        # exactly these lengths have s2 = t - ln >= lo_rep and a first window;
+        # its region bound, ln <= hi_base - lo_first = cap, holds for ln <= longest
+        top = min(longest, t - lo_rep, (t - mid_min - lo_first) // 2)
         # longest candidate content first: most informative, most falsifiable
-        for ln in range(longest, 0, -1):
+        for ln in range(top, 0, -1):
             if len(children) >= self.branch_cap:
                 break
             s2 = t - ln
-            if s2 < lo_rep:
-                continue
-            window = parent._first_window(site, s2, ln)
-            if window is None:
-                continue
-            lo, hi = window
+            lo, hi = parent._first_window(site, s2, ln)
             if adjacent:
                 if hi != s2 - ln:
                     continue

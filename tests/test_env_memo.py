@@ -250,3 +250,25 @@ def test_run_steps_through_a_patched_env_step():
         with pytest.raises(ContractViolation):
             env.run([1, 9])  # checked by the patched step, one action at a time
     assert seen == batch + [1, 9]
+
+
+class OverridingPiano(PianoEnv):
+    """Overrides `step`, so `run` takes its loop of `step`."""
+
+    def step(self, a):
+        return super().step(a)
+
+
+@pytest.mark.parametrize("factory", [PianoEnv, OverridingPiano], ids=["memo", "overridden"])
+@pytest.mark.parametrize("wrap", [lambda b: (a for a in b), iter, tuple, list],
+                         ids=["generator", "iterator", "tuple", "list"])
+def test_run_steps_through_any_iterable_once(factory, wrap):
+    batch, plain = [5, 5, 0], PianoEnv()
+    plain.reset()
+    want = [plain.step(a) for a in batch][-1]
+    env = factory()
+    env.reset()
+    assert env.run(wrap(batch)) == want
+    assert env.state == plain.state
+    with pytest.raises(ContractViolation, match="invalid action id"):
+        env.run(wrap([1, N_KEYS * 9]))
