@@ -16,11 +16,16 @@ reproduces the full sequence position-exactly. Under aliasing the anchor is
 simply wrong for later occurrences, which is why these agents stall on the
 partially observable domain. For tractability every token that never
 appears in the demonstration collapses into one absorbing terminal state
-that ends the episode. Both agents are deterministic: ties prefer untried
-actions first, then the lowest action id. Once an episode repeats the
-previous one exactly without completing, nothing can ever change
-(deterministic policy, deterministic world, no new knowledge), so the run
-stops there as incomplete, with stop reason "fixed_point".
+that ends the episode.
+
+Both agents share one model, the token graph, and one rule for unknown
+edges: a token that still has an untried action takes the lowest one, and
+the token it first leads to is recorded in the token's row. Rows therefore
+fill lowest action first, and the agents differ only in how they choose in
+a full row. Once an episode repeats the previous one's actions without
+completing, nothing can ever change (deterministic policy, deterministic
+world, no new knowledge), so the run stops there as incomplete, with stop
+reason "fixed_point".
 """
 
 from __future__ import annotations
@@ -52,78 +57,67 @@ class OracleAlignedSuggester(ActionSuggester):
         return None if src is None else plan.confirmed[src]
 
 
-_TERM = -2      # next-state marker for off-demonstration tokens
-_NO_EXPECT = -9
-
-
-class _TokenTable:
-    """Token->index map over the demonstration vocabulary, plus the expected
-    successor token of each state (anchored at its first demo occurrence)."""
-
-    def __init__(self, demo: Demonstration, start_token: str):
-        self.index = {}
-        for tok in (start_token, *demo.observations):
-            if tok not in self.index:
-                self.index[tok] = len(self.index)
-        self.n = len(self.index)
-        obs = demo.observations
-        self.expect = [_NO_EXPECT] * self.n
-        self.expect[self.index[start_token]] = self.index[obs[0]]
-        for i in range(len(obs) - 1):
-            s = self.index[obs[i]]
-            if self.expect[s] == _NO_EXPECT:
-                self.expect[s] = self.index[obs[i + 1]]
-
-    def of(self, tok) -> int:
-        return self.index.get(tok, _TERM)
+_TERM = -1  # the one state of every token off the demonstration
 
 
 def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> LearnReport:
-    """The episode loop of both tabular agents.
+    """The episode loop of both tabular agents; it keeps the token graph.
 
-    `make_policy(table, n_actions)` returns the agent's `choose(s, t)`, the
-    action to take in state s at position t, and `observe(s, a, z)`, called
-    after every step with the state it reached.
+    `succ[s]` lists the tokens that the tried actions 0, 1, ... of token s
+    first led to, and `expect[s]` is the token that follows s's first
+    occurrence in the demonstration (None if it occurs only last).
+    `make_policy(succ, expect, n_actions)` returns the agent's
+    `greedy(s, t)`, the action to take in a full row s at position t, and
+    `row_filled(s)`, called once row s is full.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1 episode")
-    horizon = demo.horizon
-    table = _TokenTable(demo, env.reset())
-    choose, observe = make_policy(table, env.n_actions)
+    obs = demo.observations
+    horizon = len(obs)
+    n_act = env.n_actions
+    start = env.reset()
+    index = {}
+    for tok in (start, *obs):
+        index.setdefault(tok, len(index))
+    expect = [None] * len(index)
+    for tok, nxt in reversed(tuple(zip((start, *obs), obs))):  # first occurrence wins
+        expect[index[tok]] = index[nxt]
+    succ = [[] for _ in expect]
+    greedy, row_filled = make_policy(succ, expect, n_act)
+    of, step = index.get, env.step
     rows = []
     total_steps = 0
-    prev_trace = None
+    prev = None
     best_matched = 0
     for ep in range(1, budget + 1):
-        obs = env.reset()
-        s = table.of(obs)
-        trace = []
+        s = of(env.reset(), _TERM)
+        actions = []
         matched = 0
-        all_ok = True
         for t in range(horizon):
             if s == _TERM:
                 break
-            a = choose(s, t)
-            obs = env.step(a)
-            z = table.of(obs)
-            trace.append((s, a, z))
-            observe(s, a, z)
-            if obs == demo.observations[t] and all_ok:
+            row = succ[s]
+            untried = len(row) < n_act
+            a = len(row) if untried else greedy(s, t)
+            tok = step(a)
+            z = of(tok, _TERM)
+            actions.append(a)
+            if untried:
+                row.append(z)
+                if len(row) == n_act:
+                    row_filled(s)
+            if matched == t and tok == obs[t]:
                 matched += 1
-            else:
-                all_ok = False
             s = z
-        total_steps += len(trace)
+        total_steps += len(actions)
         best_matched = max(best_matched, matched)
         done = matched == horizon
-        rows.append((ep, len(trace), best_matched, 0, done))
+        rows.append((ep, len(actions), best_matched, 0, done))
         if done:
-            return LearnReport(tuple(a for _, a, _ in trace), ep, total_steps, 0, True,
-                               "complete", rows)
-        key = tuple(trace)
-        if key == prev_trace:  # identical episode, no new knowledge, no completion
+            return LearnReport(tuple(actions), ep, total_steps, 0, True, "complete", rows)
+        if actions == prev:  # the actions fix the episode: nothing new, no completion
             return LearnReport((), budget, total_steps, 0, False, "fixed_point", rows)
-        prev_trace = key
+        prev = actions
     return LearnReport((), budget, total_steps, 0, False, "budget", rows)
 
 
@@ -132,23 +126,24 @@ def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
 
     Unknown (token, action) pairs are valued at every remaining step, H - t.
     A step pays at most 1, so no action is worth more: a token with an
-    untried action takes its lowest one and is itself worth H - t. Its row
-    therefore fills lowest action first, and a new edge can change a value
-    only when it completes its token's row. A fully known token's value and
-    greedy action at position t (lowest id on ties) are computed when a
-    choice first needs them and memoised until the next row fills.
+    untried action is itself worth H - t, and a new edge can change a value
+    only when it completes its token's row. A full token's value and greedy
+    action at position t (lowest id on ties) are computed when a choice
+    first needs them and memoised until the next row fills.
     """
     horizon = demo.horizon
 
-    def policy(table: _TokenTable, n_act: int):
-        expect = table.expect
-        succ = [[] for _ in range(table.n)]  # succ[s][a]: the token action a led to
+    def policy(succ: list[list[int]], expect: list[int | None], n_act: int):
         memo = {}  # (t, s) -> (value, greedy action) of a full row s
 
-        def solve(t: int, s: int) -> None:
+        def greedy(s: int, t: int) -> int:
+            hit = memo.get((t, s))
+            if hit is not None:
+                return hit[1]
             # depth first with an explicit stack: a demonstration can be
             # longer than the recursion limit. A frame is [t, s, next action,
             # best q, its action]; it waits while a successor is unsolved.
+            key = t, s
             stack = [[t, s, 0, -1, 0]]
             while stack:
                 frame = stack[-1]
@@ -178,23 +173,12 @@ def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
                 else:
                     memo[t, s] = best, arg
                     stack.pop()
+            return memo[key][1]
 
-        def choose(s: int, t: int) -> int:
-            k = len(succ[s])
-            if k < n_act:
-                return k
-            if (t, s) not in memo:
-                solve(t, s)
-            return memo[t, s][1]
+        def row_filled(s: int) -> None:
+            memo.clear()
 
-        def observe(s: int, a: int, z: int) -> None:
-            row = succ[s]
-            if a == len(row):
-                row.append(z)
-                if a + 1 == n_act:
-                    memo.clear()
-
-        return choose, observe
+        return greedy, row_filled
 
     return _tabular_learn(env, demo, budget, policy)
 
@@ -202,28 +186,20 @@ def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
 def ucb_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
     """Per-token bandit with optimistic upper bounds.
 
-    Rewards are deterministic, so one pull pins an arm's bound; untried arms
-    have an infinite bound and are always taken first (lowest id first), so
-    a token's row fills lowest action first. Once it is full the best arm,
-    the lowest one that paid 1 (else action 0), never changes.
+    Rewards are deterministic, so one pull pins an arm's bound, and untried
+    arms have an infinite bound. Once a row is full its best arm, the lowest
+    one that paid 1 (else action 0), never changes.
     """
-    def policy(table: _TokenTable, n_act: int):
-        known = [0] * table.n  # arms 0..known[s]-1 of token s are tried
-        paid = [None] * table.n  # the lowest arm of token s that paid 1
+    def policy(succ: list[list[int]], expect: list[int | None], n_act: int):
+        best = [0] * len(succ)  # the arm a full row s takes
 
-        def choose(s: int, t: int) -> int:
-            k = known[s]
-            if k < n_act:
-                return k
-            a = paid[s]
-            return 0 if a is None else a
+        def greedy(s: int, t: int) -> int:
+            return best[s]
 
-        def observe(s: int, a: int, z: int) -> None:
-            if a == known[s]:
-                known[s] = a + 1
-                if paid[s] is None and z == table.expect[s]:
-                    paid[s] = a
+        def row_filled(s: int) -> None:
+            row, e = succ[s], expect[s]
+            best[s] = row.index(e) if e in row else 0
 
-        return choose, observe
+        return greedy, row_filled
 
     return _tabular_learn(env, demo, budget, policy)

@@ -222,10 +222,6 @@ class Demonstration:
     def horizon(self) -> int:
         return len(self.observations)
 
-    @property
-    def token_set(self) -> frozenset[Obs]:
-        return frozenset(self.observations)
-
 
 def record_demonstration(env: Env, solution_actions, sketch: Sketch | None = None) -> Demonstration:
     """Execute `solution_actions` from reset and record the emitted tokens."""

@@ -141,9 +141,9 @@ class GridCraftEnv(Env):
         tok = self._token(state)
         return state, tok if effective else f"{tok}|no:{ACTION_NAMES[a]}"
 
-    def _token(self, state: tuple | None = None) -> Obs:
-        """The serialization of `state`, by default the current one."""
-        (r, c), inv, rows = self.state if state is None else state
+    def _token(self, state: tuple) -> Obs:
+        """The serialization of `state`."""
+        (r, c), inv, rows = state
         items = "+".join(f"{k}:{v}" for k, v in inv) or "-"
         return f"{r},{c}|{items}|{'/'.join(rows)}"
 

@@ -1,15 +1,17 @@
 """Reference implementations that tests compare the library against.
 
 Each one is the plain, slow form of something the library computes
-incrementally: R-max replans after every new edge and UCB scans a token's
-whole row on every choice, the repeat suggestion scans every candidate or
-walks the trie below each plan suffix, the hypothesis checks replay an
-alignment against the whole plan, the optimistic claim probes every repeat
-length, sketch branching tries every match of the repeated content in its
-window, sketch selection ranks every active hypothesis on every call, the
-episode loop reads the plan through its properties and burns out with
-`rng.randrange`, and the piano and craft environments compute each
-observation from scratch.
+incrementally: the tabular episode loop records every step as a (state,
+action, next state) triple and compares whole traces, R-max replans after
+every new edge and UCB scans a token's whole row on every choice, the
+repeat suggestion scans every candidate or walks the trie below each plan
+suffix, the hypothesis checks replay an alignment against the whole plan,
+the optimistic claim probes every repeat length, sketch branching tries
+every match of the repeated content in its window, sketch selection ranks
+every active hypothesis on every call, the plan search's episode loop
+reads the plan through its properties and burns out with `rng.randrange`,
+and the piano and craft environments compute each observation from
+scratch.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import random
 
 import numpy as np
 
-from procsearch.baselines import _TokenTable, _tabular_learn
 from procsearch.core import Action, Demonstration, Env, Obs, intern_token
 from procsearch.envs.piano import (
     N_KEYS, PRESS_5, SILENCE, THUMB_MIN, THUMB_UP, WRIST_DOWN, WRIST_UP, key_name,
@@ -29,6 +30,80 @@ from procsearch.search import (
 from procsearch.sketch import Hypothesis
 
 _UNKNOWN = -1  # next-state marker for an action not yet tried
+_TERM = -2      # next-state marker for off-demonstration tokens
+_NO_EXPECT = -9
+
+
+class _TokenTable:
+    """Token->index map over the demonstration vocabulary, plus the expected
+    successor token of each state (anchored at its first demo occurrence)."""
+
+    def __init__(self, demo: Demonstration, start_token: str):
+        self.index = {}
+        for tok in (start_token, *demo.observations):
+            if tok not in self.index:
+                self.index[tok] = len(self.index)
+        self.n = len(self.index)
+        obs = demo.observations
+        self.expect = [_NO_EXPECT] * self.n
+        self.expect[self.index[start_token]] = self.index[obs[0]]
+        for i in range(len(obs) - 1):
+            s = self.index[obs[i]]
+            if self.expect[s] == _NO_EXPECT:
+                self.expect[s] = self.index[obs[i + 1]]
+
+    def of(self, tok) -> int:
+        return self.index.get(tok, _TERM)
+
+
+def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> LearnReport:
+    """Oracle for the tabular episode loop: it records every step as an
+    (s, a, z) triple and stops at a fixed point when a whole trace repeats.
+
+    `make_policy(table, n_actions)` returns the agent's `choose(s, t)`, the
+    action to take in state s at position t, and `observe(s, a, z)`, called
+    after every step with the state it reached.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1 episode")
+    horizon = demo.horizon
+    table = _TokenTable(demo, env.reset())
+    choose, observe = make_policy(table, env.n_actions)
+    rows = []
+    total_steps = 0
+    prev_trace = None
+    best_matched = 0
+    for ep in range(1, budget + 1):
+        obs = env.reset()
+        s = table.of(obs)
+        trace = []
+        matched = 0
+        all_ok = True
+        for t in range(horizon):
+            if s == _TERM:
+                break
+            a = choose(s, t)
+            obs = env.step(a)
+            z = table.of(obs)
+            trace.append((s, a, z))
+            observe(s, a, z)
+            if obs == demo.observations[t] and all_ok:
+                matched += 1
+            else:
+                all_ok = False
+            s = z
+        total_steps += len(trace)
+        best_matched = max(best_matched, matched)
+        done = matched == horizon
+        rows.append((ep, len(trace), best_matched, 0, done))
+        if done:
+            return LearnReport(tuple(a for _, a, _ in trace), ep, total_steps, 0, True,
+                               "complete", rows)
+        key = tuple(trace)
+        if key == prev_trace:  # identical episode, no new knowledge, no completion
+            return LearnReport((), budget, total_steps, 0, False, "fixed_point", rows)
+        prev_trace = key
+    return LearnReport((), budget, total_steps, 0, False, "budget", rows)
 
 
 def rmax_full_replan_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:

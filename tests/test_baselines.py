@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from procsearch.baselines import OracleAlignedSuggester, rmax_learn, ucb_learn
 from procsearch.core import Sketch, Task, record_demonstration, spans_from_lengths
 from procsearch.envs import make_task
-from procsearch.envs.scripted import ScriptedEnv, make_chain, random_aliased_env
+from procsearch.envs.scripted import AutomatonEnv, ScriptedEnv, make_chain, random_aliased_env
 from procsearch.search import PartialPlan, UniformSuggester, learn, replay_matches
 from tests.oracles import rmax_full_replan_learn, ucb_scan_learn
 
@@ -80,6 +80,19 @@ def test_ucb_pulls_untried_arm_first():
     assert rep.complete
     # episode 1 always pulls action 0 at the fresh start state
     assert rep.rows[0][2] == (1 if script[0] == 0 else 0)
+
+
+def test_ucb_full_row_takes_its_lowest_paying_arm():
+    # from the start, actions 1 and 2 both emit the demonstrated "z1", but
+    # only action 1 reaches the state where action 2 emits "z2"; the start
+    # row fills in episode 3 and must keep arm 1
+    sink = [(3, "OFF")] * 3
+    env = AutomatonEnv(3, [[(3, "x"), (1, "z1"), (2, "z1")],
+                           [(3, "OFF"), (3, "OFF"), (3, "z2")], sink, sink])
+    demo = record_demonstration(env, (1, 2))
+    rep = ucb_learn(env, demo, budget=100)
+    assert rep.complete and rep.plan == (1, 2) and rep.episodes == 4
+    assert rep == ucb_scan_learn(env, demo, budget=100)
 
 
 def test_rmax_equals_ucb_on_markov_envs():
@@ -159,3 +172,16 @@ def test_rmax_values_refresh_when_a_row_fills():
         demo = record_demonstration(env, script)
         budget = 2 * n_actions * horizon
         assert rmax_learn(env, demo, budget) == rmax_full_replan_learn(env, demo, budget)
+
+
+@pytest.mark.parametrize("fn, oracle", [(rmax_learn, rmax_full_replan_learn),
+                                        (ucb_learn, ucb_scan_learn)])
+def test_piano_fixed_point_matches_the_reference_loop(fn, oracle):
+    # the library compares an episode's actions with the previous episode's,
+    # the reference loop whole (s, a, z) traces; both stop after episode 6
+    task = make_task("piano")
+    demo = task.demo()
+    rep = fn(task.env(), demo, budget=30000)
+    assert rep.stop_reason == "fixed_point"
+    assert len(rep.rows) == 6
+    assert rep == oracle(task.env(), demo, budget=30000)

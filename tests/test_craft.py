@@ -53,7 +53,7 @@ def test_empty_use_is_tagged_noop():
 def test_reset_token_encodes_initial_map():
     env = GridCraftEnv("...\n.@.\n...")
     tok = env.reset()
-    assert tok == env._token() == "1,1|-|.../.../..."
+    assert tok == env._token(env.state) == "1,1|-|.../.../..."
 
 
 def _check_task(task, expect_h):
@@ -120,11 +120,11 @@ def test_tokens_are_bijective_on_latent_state():
     # distinct (pos, inventory, grid) always serialize differently
     env = GridCraftEnv(".W.\n.@.\n...")
     env.reset()
-    t0 = env._token()
+    t0 = env._token(env.state)
     env.step(USE)
-    t1 = env._token()
+    t1 = env._token(env.state)
     env.step(DOWN)
-    t2 = env._token()
+    t2 = env._token(env.state)
     assert len({t0, t1, t2}) == 3
 
 
@@ -161,7 +161,7 @@ def test_cached_tail_matches_a_fresh_serialization(map_text):
             before = (dict(env.inventory), [row[:] for row in env.grid])
             tok = env.step(a)
             want = craft_token(env.pos, env.inventory, env.grid)
-            assert env._token() == want
+            assert env._token(env.state) == want
             assert tok in (want, f"{want}|no:{ACTION_NAMES[a]}")
             changes += before != (dict(env.inventory), env.grid)
     assert changes > 0

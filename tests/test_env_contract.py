@@ -35,11 +35,11 @@ def test_reset_tokens():
     island = make_task("island").env()
     tok = island.reset()
     # the start token is the canonical serialization of the loaded map
-    assert tok == island._token()
+    assert tok == island._token(island.state)
     assert "WWW" in tok and "~~~~" in tok
 
 
 def test_start_token_outside_demo_for_markov_envs():
     for name in ("chain", "scripted", "island", "gem", "cpr"):
         task = make_task(name)
-        assert task.env().reset() not in task.demo().token_set
+        assert task.env().reset() not in task.demo().observations
