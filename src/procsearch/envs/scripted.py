@@ -53,6 +53,14 @@ class AutomatonEnv(Env):
         self.trans = tuple(tuple((s2, intern_token(t)) for s2, t in row) for row in trans)
         if any(len(row) != n_actions for row in self.trans):
             raise ValueError("each state needs one transition per action")
+        states = range(len(self.trans))
+        for s, row in enumerate(self.trans):
+            for a, (s2, _) in enumerate(row):
+                if s2 not in states:
+                    raise ValueError(f"state {s}, action {a}: target {s2!r} is not one of "
+                                     f"the {len(states)} states")
+        if start_state not in states:
+            raise ValueError(f"start state {start_state!r} is not one of the {len(states)} states")
         self.start_state = start_state
         self.start_token = intern_token(start_token)
 

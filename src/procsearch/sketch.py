@@ -369,12 +369,11 @@ class SketchPool:
     def branch(self, parent: Hypothesis, pb: bytes) -> list[Hypothesis]:
         """Children of `parent` given that the newest plan action completed a
         repeat of the main label at the end of the plan: one child per
-        feasible (content length, first-occurrence position).
-
-        The first occurrence must either lie in the open run or, if buried
-        inside a closed ambiguous region, the run must still be short enough
-        that every candidate content fits the region (same recency gate as
-        the optimistic rule).
+        feasible (content length, first-occurrence position). Each splits the
+        block holding the first occurrence (the open run up to the repeat is
+        one more block) and pins the repeat; a first occurrence buried in a
+        closed ambiguous region needs a run short enough that every candidate
+        content fits the region (same recency gate as the optimistic rule).
         """
         t = parent.consumed
         longest = (t - parent.run_pos0) // 2
@@ -420,56 +419,48 @@ class SketchPool:
     def _make_branch_child(self, parent, pb, m, j1, rep, p, ln, s2):
         child = parent._shell()
         child.assigned[m] = tuple(pb[p:p + ln])
+        # the open run up to the repeat is one more block: split it if it
+        # holds j1, else split the closed region that does and close the run
+        run = (parent.run_elem, rep - 1, parent.run_pos0, s2)
         if j1 >= parent.run_elem:
-            # first occurrence sits in the open run: close everything from
-            # the run start through the end of the repeat
-            if not self._close_region(child, pb, parent.run_elem, j1 - 1,
-                                      parent.run_pos0, p):
-                return None
-            child.layout.append((j1, j1, p, p + ln))
-            if not self._close_region(child, pb, j1 + 1, rep - 1, p + ln, s2):
-                return None
+            (elem_lo, elem_hi, pos_lo, pos_end), rest = run, None
         else:
-            # first occurrence sits inside a closed ambiguous region: split it
             idx = next(i for i, (lo, hi, _, _) in enumerate(child.layout)
                        if lo <= j1 <= hi)
-            elem_lo, elem_hi, pos_lo, pos_end = child.layout.pop(idx)
-            if not self._close_region(child, pb, elem_lo, j1 - 1, pos_lo, p):
-                return None
-            child.layout.append((j1, j1, p, p + ln))
-            if not self._close_region(child, pb, j1 + 1, elem_hi, p + ln, pos_end):
-                return None
-            if not self._close_region(child, pb, parent.run_elem, rep - 1,
-                                      parent.run_pos0, s2):
-                return None
+            (elem_lo, elem_hi, pos_lo, pos_end), rest = child.layout.pop(idx), run
+        close = self._close_region
+        if not (close(child, pb, elem_lo, j1 - 1, pos_lo, p)
+                and close(child, pb, j1 + 1, elem_hi, p + ln, pos_end)
+                and (rest is None or close(child, pb, *rest))):
+            return None
+        child.layout.append((j1, j1, p, p + ln))
         child.layout.append((rep, rep, s2, parent.consumed))
         child.layout.sort()
         child._enter(rep + 1, parent.consumed)
         return self._adopt(child)
 
-    def run_splits(self, parent: Hypothesis, pb: bytes, a: Action) -> list[Hypothesis]:
+    def run_split(self, parent: Hypothesis, pb: bytes, a: Action) -> Hypothesis | None:
         """Resolve an ambiguous open run against the next assigned element:
-        if the arriving action could begin that element, spawn the child that
-        says it does."""
-        if parent.run_elem is None or parent.is_complete:
-            return []
+        if the arriving action could begin that element, the child that says
+        it does, else None."""
+        if parent.run_elem is None:  # also when complete: _enter clears it
+            return None
         pos = parent.consumed  # position of the arriving action
         j_next = next((j for j in range(parent.run_elem + 1, len(parent.sketch))
                        if parent.sketch[j] in parent.assigned), None)
         if j_next is None:
-            return []
+            return None
         if parent.assigned[parent.sketch[j_next]][0] != a:
-            return []
+            return None
         if pos - parent.run_pos0 < parent._min_span(parent.run_elem, j_next):
-            return []
+            return None
         child = parent._shell()
         if not self._close_region(child, pb, parent.run_elem, j_next - 1,
                                   parent.run_pos0, pos):
-            return []
+            return None
         child._enter(j_next, pos)
         child.advance(a)  # a is the first action of j_next's assignment
-        child = self._adopt(child)
-        return [child] if child is not None else []
+        return self._adopt(child)
 
     # -- plan-event hooks -------------------------------------------------------
 
@@ -484,9 +475,8 @@ class SketchPool:
         self.seen = set()
         a = actions[-1]
         pb = bytes(actions)
-        kids: list[Hypothesis] = []
-        for parent in self.active:
-            kids.extend(self.run_splits(parent, pb, a))
+        kids = [kid for parent in self.active
+                if (kid := self.run_split(parent, pb, a)) is not None]
         # advance copies: the hypotheses of earlier checkpoints stay as they were
         blank, *rest = (h._shell() for h in self.active)
         blank.advance(a)  # no assignment, so nothing to contradict

@@ -7,7 +7,8 @@ every new edge and UCB scans a token's whole row on every choice, the
 repeat suggestion scans every candidate or walks the trie below each plan
 suffix, the hypothesis checks replay an alignment against the whole plan,
 the optimistic claim probes every repeat length, sketch branching tries
-every match of the repeated content in its window, sketch selection ranks
+every match of the repeated content in its window and builds each child on
+two paths, one per place the first occurrence can lie, sketch selection ranks
 every active hypothesis on every call, the plan search's episode loop
 reads the plan through its properties and burns out with `rng.randrange`,
 and the piano and craft environments compute each observation from
@@ -17,8 +18,6 @@ scratch.
 from __future__ import annotations
 
 import random
-
-import numpy as np
 
 from procsearch.core import Action, Demonstration, Env, Obs, intern_token
 from procsearch.envs.piano import (
@@ -108,50 +107,43 @@ def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> L
 
 def rmax_full_replan_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
     """R-max that recomputes the whole value function after every new edge
-    and evaluates every choice from the action values."""
+    and evaluates every choice from the action values. Rewards are 0 or 1,
+    so every value is an integer and ties are exact."""
     horizon = demo.horizon
 
     def policy(table: _TokenTable, n_act: int):
-        trans = np.full((table.n, n_act), _UNKNOWN, dtype=np.int64)
-        expect = np.array(table.expect)
+        trans = [[_UNKNOWN] * n_act for _ in range(table.n)]
+        expect = table.expect
         values = None  # stale until the next choice after the model grows
 
-        def q_of(rows, expect):
-            """q(v_next, t): the action values of the token rows `rows` of
-            `trans`, expecting `expect`, at position t. An unknown action is
-            worth every remaining step; a known one, a match plus the value
-            of the token it reaches (none off the vocabulary)."""
-            known = rows != _UNKNOWN
-            nxt = np.clip(rows, 0, None)        # TERM/unknown clipped; masked below
-            on_vocab = rows >= 0
-            reward = (rows == expect).astype(float)
+        def q(s: int, v_next: list[int], t: int) -> list[int]:
+            """The action values of token s at position t. An unknown action
+            is worth every remaining step; a known one, a match plus the
+            value of the token it reaches (none off the vocabulary)."""
+            return [horizon - t if z == _UNKNOWN
+                    else (z == expect[s]) + (v_next[z] if z >= 0 else 0)
+                    for z in trans[s]]
 
-            def q(v_next, t):
-                cont = np.where(on_vocab, v_next[nxt], 0.0)
-                return np.where(known, reward + cont, float(horizon - t))
-            return q
-
-        def replan():
-            v = np.zeros((horizon + 1, table.n))
-            q = q_of(trans, expect[:, None])
+        def replan() -> list[list[int]]:
+            v = [[0] * table.n for _ in range(horizon + 1)]
             for t in range(horizon - 1, -1, -1):
-                v[t] = q(v[t + 1], t).max(axis=1)
+                v[t] = [max(q(s, v[t + 1], t)) for s in range(table.n)]
             return v
 
         def choose(s: int, t: int) -> int:
             nonlocal values
             if values is None:
                 values = replan()
-            q = q_of(trans[s], expect[s])(values[t + 1], t)
-            best = q.max()
-            tied = np.flatnonzero(q >= best - 1e-12)
-            untried = [a for a in tied if trans[s, a] == _UNKNOWN]
-            return int(untried[0] if untried else tied[0])
+            qs = q(s, values[t + 1], t)
+            best = max(qs)
+            tied = [a for a, x in enumerate(qs) if x == best]
+            untried = [a for a in tied if trans[s][a] == _UNKNOWN]
+            return (untried or tied)[0]
 
         def observe(s: int, a: int, z: int) -> None:
             nonlocal values
-            if trans[s, a] == _UNKNOWN:
-                trans[s, a] = z
+            if trans[s][a] == _UNKNOWN:
+                trans[s][a] = z
                 values = None
 
         return choose, observe
@@ -162,19 +154,17 @@ def rmax_full_replan_learn(env: Env, demo: Demonstration, budget: int) -> LearnR
 def ucb_scan_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
     """The per-token bandit that scans a token's whole row on every choice."""
     def policy(table: _TokenTable, n_act: int):
-        tried = np.zeros((table.n, n_act), dtype=bool)
-        reward = np.zeros((table.n, n_act))
+        reward = [[None] * n_act for _ in range(table.n)]  # None: not tried
 
         def choose(s: int, t: int) -> int:
-            row = tried[s]
-            if not row.all():
-                return int(np.flatnonzero(~row)[0])
-            return int(reward[s].argmax())
+            row = reward[s]
+            if None in row:
+                return row.index(None)
+            return row.index(max(row))
 
         def observe(s: int, a: int, z: int) -> None:
-            if not tried[s, a]:
-                tried[s, a] = True
-                reward[s, a] = 1.0 if z == table.expect[s] else 0.0
+            if reward[s][a] is None:
+                reward[s][a] = int(z == table.expect[s])
 
         return choose, observe
 
@@ -263,10 +253,43 @@ def exact_segments(h):
     return [(lo, a, b) for lo, hi, a, b in h.layout if lo == hi]
 
 
+def branch_child_two_cases(pool, parent, pb: bytes, m, j1, rep, p, ln, s2):
+    """Oracle for `SketchPool._make_branch_child`: a first occurrence in the
+    open run and one in a closed ambiguous region are built on separate
+    paths, where the library splits either as one block."""
+    close = pool._close_region
+    child = parent._shell()
+    child.assigned[m] = tuple(pb[p:p + ln])
+    if j1 >= parent.run_elem:
+        # first occurrence sits in the open run: close everything from the
+        # run start through the end of the repeat
+        if not close(child, pb, parent.run_elem, j1 - 1, parent.run_pos0, p):
+            return None
+        child.layout.append((j1, j1, p, p + ln))
+        if not close(child, pb, j1 + 1, rep - 1, p + ln, s2):
+            return None
+    else:
+        # first occurrence sits inside a closed ambiguous region: split it
+        idx = next(i for i, (lo, hi, _, _) in enumerate(child.layout) if lo <= j1 <= hi)
+        elem_lo, elem_hi, pos_lo, pos_end = child.layout.pop(idx)
+        if not close(child, pb, elem_lo, j1 - 1, pos_lo, p):
+            return None
+        child.layout.append((j1, j1, p, p + ln))
+        if not close(child, pb, j1 + 1, elem_hi, p + ln, pos_end):
+            return None
+        if not close(child, pb, parent.run_elem, rep - 1, parent.run_pos0, s2):
+            return None
+    child.layout.append((rep, rep, s2, parent.consumed))
+    child.layout.sort()
+    child._enter(rep + 1, parent.consumed)
+    return pool._adopt(child)
+
+
 def branch_scan_every_match(pool, parent, pb: bytes) -> list[Hypothesis]:
     """Oracle for `SketchPool.branch`: builds a child for every match of the
-    repeated content in its window and keeps those that close consistently,
-    where the library skips starts whose child cannot exist."""
+    repeated content in its window, each on `branch_child_two_cases`, and
+    keeps those that close consistently, where the library skips starts
+    whose child cannot exist."""
     site = parent._repeat_site()
     if site is None:
         return []
@@ -290,7 +313,7 @@ def branch_scan_every_match(pool, parent, pb: bytes) -> list[Hypothesis]:
         end = window[1] + ln
         p = pb.find(content, window[0], end)
         while p != -1:
-            child = pool._make_branch_child(parent, pb, m, j1, rep, p, ln, s2)
+            child = branch_child_two_cases(pool, parent, pb, m, j1, rep, p, ln, s2)
             if child is not None:
                 children.append(child)
                 if len(children) >= pool.branch_cap:

@@ -1,9 +1,11 @@
 import itertools
 import random
 
+import pytest
+
 from procsearch.core import record_demonstration
 from procsearch.envs.scripted import (
-    OFF_TOKEN, make_chain, random_aliased_env, trap_env,
+    OFF_TOKEN, AutomatonEnv, make_chain, random_aliased_env, trap_env,
 )
 
 
@@ -52,3 +54,15 @@ def test_random_aliased_envs_are_realizable():
         demo = record_demonstration(env, script)
         env.reset()
         assert all(env.step(a) == z for a, z in zip(script, demo.observations))
+
+
+@pytest.mark.parametrize("trans, start, message", [
+    # a negative target would wrap around to the last state
+    ([[(-1, "a")]], 0, "state 0, action 0: target -1 is not one of the 1 states"),
+    ([[(1, "a"), (0, "b")], [(0, "a"), (5, "b")]], 0,
+     "state 1, action 1: target 5 is not one of the 2 states"),
+    ([[(0, "a")], [(1, "b")]], 3, "start state 3 is not one of the 2 states"),
+])
+def test_automaton_refuses_states_it_does_not_have(trans, start, message):
+    with pytest.raises(ValueError, match=message):
+        AutomatonEnv(len(trans[0]), trans, start_state=start)

@@ -448,6 +448,8 @@ def test_select_matches_the_scan_oracle_at_every_plan_state(labels, ops, horizon
 @example(["b0", "b3", "b1", "b0", "b1"], [2, 1, 0, 2, 0, 0, 0], 20, 3)
 # a run of one action whose repeat of a region-buried first occurrence has a claim
 @example(["b0", "b1", "b2", "b0", "b1"], [2, 2, 0, 1, 0, 2, 2], 20, 4)
+# a child of a region-held first occurrence that must still close the run
+@example(["b0", "b2", "b1", "b0", "b1", "b2"], [0] * 6, 4, 2)
 def test_branch_matches_the_scan_every_match_oracle(labels, plan, horizon, n_active):
     pool = SketchPool(Sketch(tuple(labels)), horizon=horizon, n_active=n_active)
     for t in range(1, len(plan) + 1):
