@@ -32,10 +32,11 @@ class Env:
     `_transition(state, a) -> (state, token)` over hashable latent states.
     Stepping is a pure function of (state, action), so `Env` memoises it:
     each state reached has a row of one `(next row, token)` entry per
-    action, filled from `_transition` on first use, and the state in slot
-    `n_actions`. Replaying an action sequence from reset yields the same
-    tokens. The rows are per instance and link to each other, so they are
-    cleared when the env is released.
+    action, filled by `_fill` from `_transition` on first use, and the state
+    in slot `n_actions`. `_row`, the current state's row, is None until the
+    first reset that succeeds. Replaying an action sequence from reset
+    yields the same tokens. The rows are per instance and link to each
+    other, so they are cleared when the env is released.
 
     `run(actions)` steps through a batch with the checks made once for the
     whole batch, and `burn(rng, m)` takes `m` steps with actions drawn as
@@ -45,10 +46,8 @@ class Env:
     """
 
     n_actions: int = 0
-    action_names: tuple[str, ...] = ()
 
     def __init__(self):
-        self._was_reset = False
         self._row = None  # the current state's row, from the first reset
         self._rows: dict = {}  # state -> row
 
@@ -57,21 +56,16 @@ class Env:
             row.clear()
 
     def reset(self) -> Obs:
-        self._was_reset = True
         state, tok = self._start()
         self._row = self._row_of(state)
         return tok
 
     def step(self, a: Action) -> Obs:
-        if not self._was_reset:
+        if self._row is None:
             raise ContractViolation("step() before reset()")
         if not isinstance(a, int) or not (0 <= a < self.n_actions):
             raise ContractViolation(f"invalid action id {a!r} (|A|={self.n_actions})")
-        nxt = self._row[a]
-        if nxt is None:
-            state, tok = self._transition(self._row[-1], a)
-            nxt = self._row[a] = self._row_of(state), tok
-        self._row, tok = nxt
+        self._row, tok = self._row[a] or self._fill(self._row, a)
         return tok
 
     def run(self, actions) -> Obs | None:
@@ -90,7 +84,7 @@ class Env:
             for a in actions:
                 tok = self.step(a)
             return tok
-        if not self._was_reset:
+        if self._row is None:
             raise ContractViolation("run() before reset()")
         if not isinstance(actions, (list, tuple)):  # the check below reads it too
             actions = tuple(actions)
@@ -111,8 +105,7 @@ class Env:
             except TypeError:  # equal to an id but not an int, such as 1.0
                 raise ContractViolation(f"invalid action id {a!r} (|A|={n})") from None
             if nxt is None:
-                state, tok = self._transition(row[-1], a)
-                nxt = row[a] = self._row_of(state), tok
+                nxt = self._fill(row, a)
             row = nxt[0]
         self._row, tok = nxt
         return tok
@@ -140,24 +133,26 @@ class Env:
                     a = getrandbits(k)
                 step(a)
             return
-        if not self._was_reset:
+        if self._row is None:
             raise ContractViolation("burn() before reset()")
         row = self._row
         for _ in range(m):
             a = getrandbits(k)
             while a >= n:
                 a = getrandbits(k)
-            nxt = row[a]
-            if nxt is None:
-                state, tok = self._transition(row[-1], a)
-                nxt = row[a] = self._row_of(state), tok
-            row = nxt[0]
+            row = (row[a] or self._fill(row, a))[0]
         self._row = row
 
     @property
     def state(self):
         """The latent state; the start state until the first reset."""
         return self._start()[0] if self._row is None else self._row[-1]
+
+    def _fill(self, row: list, a: Action) -> tuple:
+        """Fill `row[a]` from `_transition` and return the new entry."""
+        state, tok = self._transition(row[-1], a)
+        nxt = row[a] = self._row_of(state), tok
+        return nxt
 
     def _row_of(self, state) -> list:
         row = self._rows.get(state)

@@ -47,8 +47,6 @@ def cpr_segments():
 
 
 class CprEnv(ScriptedEnv):
-    action_names = ACTION_NAMES
-
     def __init__(self):
         script = tuple(a for _, seg in cpr_segments() for a in seg)
         tokens = [f"{i + 1:03d}:{ACTION_NAMES[a]}" for i, a in enumerate(script)]

@@ -98,7 +98,6 @@ def _interact(pos, inv: Counter, grid: list[list[str]]) -> bool:
 
 class GridCraftEnv(Env):
     n_actions = 5
-    action_names = ACTION_NAMES
 
     def __init__(self, map_text: str):
         super().__init__()

@@ -45,7 +45,6 @@ def _hand(wrist: int, thumb: int) -> int:
 
 class PianoEnv(Env):
     n_actions = 9
-    action_names = ACTION_NAMES
 
     def __init__(self, start_wrist: int = 10):
         super().__init__()

@@ -166,7 +166,7 @@ def parse_sweep_spec(text: str) -> list[RunConfig]:
             except ValueError as e:
                 raise ConfigError(f"bad sweep line {line!r}: {e}") from None
         if not grid.get("env") or not grid.get("agent"):
-            raise ConfigError("each sweep block needs envs= and agents=")
+            raise ConfigError(f"sweep block starting {block[0]!r} needs envs= and agents=")
         configs += [RunConfig(env, agent, seed, **extra)
                     for env, agent, seed in product(grid["env"], grid["agent"], grid["seed"])]
     if not configs:
@@ -228,8 +228,9 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
     if out_path:
         out_path.mkdir(parents=True, exist_ok=True)
         configs = [replace(c, out=str(out_path)) for c in configs]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, len(configs))  # a Pool starts every worker up front
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             records = pool.map(run, configs)
     else:
         records = [run(c) for c in configs]

@@ -3,8 +3,9 @@
 `core.Env` fills one row per latent state from `_transition` and steps by
 lookup, so these properties run every env long enough for the memo to be
 warm and check each token against a rule that reads no memo, and against a
-fresh instance whose memo is cold. `Env.run` walks the same rows for a
-batch, so it is checked against a loop of `step`.
+fresh instance whose memo is cold, and count that `_transition` runs once
+per (state, action). `Env.run` walks the same rows for a batch, so it is
+checked against a loop of `step`.
 """
 
 import gc
@@ -108,6 +109,47 @@ def test_warm_memo_keeps_the_step_contract(name):
     with pytest.raises(ContractViolation, match="before reset"):
         fresh.step(0)
     assert fresh.state == fresh._start()[0]
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_memo_runs_each_transition_once(name):
+    # a memo that stored nothing would give the same tokens, only slower
+    env, rng = FACTORIES[name](), random.Random(name)
+    calls, transition = {}, env._transition
+
+    def counted(state, a):
+        calls[state, a] = calls.get((state, a), 0) + 1
+        return transition(state, a)
+
+    env._transition = counted
+    n = env.n_actions
+    for _ in range(60):
+        env.reset()
+        for a in [rng.randrange(n) for _ in range(rng.randrange(1, 20))]:
+            env.step(a)
+        env.run([rng.randrange(n) for _ in range(rng.randrange(20))])
+        env.burn(rng, rng.randrange(20))
+    assert calls and set(calls.values()) == {1}
+
+
+def test_a_failed_first_reset_leaves_the_env_unreset():
+    class FailsFirst(PianoEnv):
+        starts = 0
+
+        def _start(self):
+            self.starts += 1
+            if self.starts == 1:
+                raise RuntimeError("no start yet")
+            return super()._start()
+
+    env = FailsFirst()
+    with pytest.raises(RuntimeError, match="no start yet"):
+        env.reset()
+    for call in (lambda: env.step(0), lambda: env.run([0]),
+                 lambda: env.burn(random.Random(0), 1)):
+        with pytest.raises(ContractViolation, match="before reset"):
+            call()
+    assert env.state == PianoEnv().state
 
 
 @pytest.mark.parametrize("name", ["chain", "cpr", "aliased0", "piano", "island"])

@@ -2,7 +2,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from procsearch import cli
+from procsearch import cli, harness
 from procsearch.agents import ConfigError, run_agent
 from procsearch.core import Sketch, Task
 from procsearch.envs import make_task
@@ -103,6 +103,15 @@ def test_parse_sweep_spec_rejects_garbage():
                           ("n_hypotheses=2", "n_hypotheses=3")):
         with pytest.raises(ConfigError, match=repr(second)):
             parse_sweep_spec(f"envs=chain\nagents=bps\n{first}\n{second}\n")
+
+
+@pytest.mark.parametrize("spec, first", [
+    ("envs=chain\nagents=bps\n\n# gem\nenvs=gem\nseeds=0-3\n", "envs=gem"),  # no agents=
+    ("seeds=1\nenvs=\nagents=bps\n", "seeds=1"),  # an empty envs=
+], ids=["no-agents", "empty-envs"])
+def test_parse_sweep_spec_names_a_block_without_envs_or_agents(spec, first):
+    with pytest.raises(ConfigError, match=f"{first!r} needs envs= and agents="):
+        parse_sweep_spec(spec)
 
 
 def test_run_agent_rejects_unknown_options():
@@ -214,6 +223,30 @@ def test_sweep_parallel_matches_serial(tmp_path):
     serial = sweep(configs)
     parallel = sweep(configs, jobs=2)
     assert summary_csv(serial.summary_rows) == summary_csv(parallel.summary_rows)
+
+
+@pytest.mark.parametrize("n_configs", [1, 2])
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch, n_configs):
+    asked = []
+
+    class FakePool:  # records its worker count and maps serially
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
+    configs = parse_sweep_spec(f"envs=chain\nagents=bps\nseeds=0-{n_configs - 1}\n")
+    records = sweep(configs, jobs=8).records
+    assert asked == ([] if n_configs == 1 else [n_configs])
+    assert records == sweep(configs).records
 
 
 def test_summarize_groups_by_env_agent():
