@@ -16,6 +16,13 @@ An episode replays the confirmed prefix with one `env.run` batch, so the
 environment checks it once, and burns out with one `env.burn`, which draws
 each action exactly as `rng.randrange(n_actions)` would and walks it in the
 same loop; frontier steps go through `env.step`.
+
+`learn` runs each episode inline, keeping the frontier in a local. The same
+episode, one per call, is `run_episode`. When `run_episode` is overridden by
+a patch on this module, `learn` calls it once per episode, so the override
+sees every episode, as an override of `Env.step` sees every step of
+`Env.run` and `Env.burn`. Both paths make the same draws, hook calls and env
+calls in the same order.
 """
 
 from __future__ import annotations
@@ -125,6 +132,9 @@ def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
     The replay is one `env.run` of the prefix and the burn-out one
     `env.burn`, which draws its actions as `rng.randrange(n_actions)` does;
     each frontier step is an `env.step` call.
+
+    `learn` runs the same episode inline and calls this function only when
+    it is overridden by a patch on this module (one call per episode).
     """
     horizon = demo.horizon
     if plan.frontier_exhausted():
@@ -174,33 +184,70 @@ def backtrack(plan: PartialPlan, suggester: ActionSuggester) -> None:
     suggester.on_backtrack(plan, removed, pos)
 
 
+_RUN_EPISODE = run_episode  # `learn` runs episodes inline only while this is `run_episode`
+
+
 def learn(env: Env, demo: Demonstration, suggester: ActionSuggester,
           rng: random.Random, budget: int) -> LearnReport:
     """Run episodes (and backtracks) until the full plan is found or the
-    episode budget runs out."""
+    episode budget runs out.
+
+    Each episode runs inline, with the same draws, hook calls and env calls
+    as `run_episode`. When `run_episode` is overridden, by a patch on this
+    module such as a tracer's or a test's, `learn` calls it once per episode
+    instead, so the override sees every episode, and reads the new frontier
+    back from the plan.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1 episode")
-    plan = PartialPlan(env.n_actions)
-    episodes = 0
-    total_steps = 0
-    backtracks = 0
+    horizon, n = demo.horizon, env.n_actions
+    plan = PartialPlan(n)
+    confirmed, ruled_out, observations = plan.confirmed, plan.ruled_out, demo.observations
+    reset, run, step, burn = env.reset, env.run, env.step, env.burn
+    suggest, on_confirmed, on_failed = suggester.suggest, suggester.on_confirmed, suggester.on_failed
+    randrange = rng.randrange
+    per_episode = run_episode is not _RUN_EPISODE
+    episodes = total_steps = backtracks = steps = 0  # steps: the frontier
     rows = []
-    while plan.frontier < demo.horizon and episodes < budget:
-        while plan.frontier_exhausted():
+    while steps < horizon and episodes < budget:
+        while len(ruled_out[steps]) >= n:
             backtrack(plan, suggester)
             backtracks += 1
-        res = run_episode(env, demo, plan, suggester, rng)
+            steps -= 1
         episodes += 1
-        total_steps += res.steps_taken
-        done = plan.frontier >= demo.horizon
-        rows.append((episodes, res.steps_taken, plan.frontier, backtracks, done))
+        if per_episode:
+            taken = run_episode(env, demo, plan, suggester, rng).steps_taken
+            steps = len(confirmed)
+        else:
+            reset()
+            run(confirmed)
+            taken = horizon  # an inline episode completes the plan or burns out
+            while steps < horizon:
+                # not exhausted: backtracked above, and each confirmation opens an empty ledger
+                excluded = ruled_out[steps]
+                a = suggest(plan, excluded)
+                if a is None or a in excluded:
+                    candidates = [x for x in range(n) if x not in excluded]
+                    a = candidates[randrange(len(candidates))]
+                if step(a) == observations[steps]:
+                    confirmed.append(a)  # plan.confirm(a)
+                    ruled_out.append(set())
+                    steps += 1
+                    on_confirmed(plan)
+                else:
+                    excluded.add(a)  # plan.reject(a)
+                    on_failed(plan, a)
+                    burn(rng, horizon - steps - 1)
+                    break
+        total_steps += taken
+        rows.append((episodes, taken, steps, backtracks, steps >= horizon))
     return LearnReport(
-        plan=tuple(plan.confirmed),
+        plan=tuple(confirmed),
         episodes=episodes,
         total_steps=total_steps,
         backtracks=backtracks,
-        complete=plan.frontier >= demo.horizon,
-        stop_reason="complete" if plan.frontier >= demo.horizon else "budget",
+        complete=steps >= horizon,
+        stop_reason="complete" if steps >= horizon else "budget",
         rows=rows,
     )
 

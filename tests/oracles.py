@@ -11,8 +11,8 @@ every match of the repeated content in its window and builds each child on
 two paths, one per place the first occurrence can lie, sketch selection ranks
 every active hypothesis on every call, the plan search's episode loop
 reads the plan through its properties and burns out with `rng.randrange`,
-and the piano and craft environments compute each observation from
-scratch.
+the plan search runs that loop as one call per episode, and the piano and
+craft environments compute each observation from scratch.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from procsearch.envs.piano import (
     N_KEYS, PRESS_5, SILENCE, THUMB_MIN, THUMB_UP, WRIST_DOWN, WRIST_UP, key_name,
 )
 from procsearch.search import (
-    ActionSuggester, EpisodeResult, LearnReport, PartialPlan,
+    ActionSuggester, EpisodeResult, LearnReport, PartialPlan, backtrack,
 )
 from procsearch.sketch import Hypothesis
 
@@ -396,6 +396,37 @@ def run_episode_scan(env: Env, demo: Demonstration, plan: PartialPlan,
                 steps += 1
             break
     return EpisodeResult(plan.frontier, steps, confirmed_any, dead_end=False)
+
+
+def learn_per_episode(env: Env, demo: Demonstration, suggester: ActionSuggester,
+                      rng: random.Random, budget: int) -> LearnReport:
+    """Oracle for `search.learn`: one `run_episode_scan` call per episode,
+    with the frontier read through the plan's properties."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1 episode")
+    plan = PartialPlan(env.n_actions)
+    episodes = 0
+    total_steps = 0
+    backtracks = 0
+    rows = []
+    while plan.frontier < demo.horizon and episodes < budget:
+        while plan.frontier_exhausted():
+            backtrack(plan, suggester)
+            backtracks += 1
+        res = run_episode_scan(env, demo, plan, suggester, rng)
+        episodes += 1
+        total_steps += res.steps_taken
+        done = plan.frontier >= demo.horizon
+        rows.append((episodes, res.steps_taken, plan.frontier, backtracks, done))
+    return LearnReport(
+        plan=tuple(plan.confirmed),
+        episodes=episodes,
+        total_steps=total_steps,
+        backtracks=backtracks,
+        complete=plan.frontier >= demo.horizon,
+        stop_reason="complete" if plan.frontier >= demo.horizon else "budget",
+        rows=rows,
+    )
 
 
 def piano_step(wrist: int, thumb: int, a: Action) -> tuple[int, int, Obs]:

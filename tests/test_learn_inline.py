@@ -1,0 +1,117 @@
+"""`learn` runs each episode inline, through `Env.run` and `Env.burn`'s walk
+of the memo rows, unless `search.run_episode` is patched; then it calls the
+patch once per episode. Both paths are checked against the per-episode
+reference loop in tests/oracles.py on envs that keep `Env.step` as it is."""
+
+import itertools
+import random
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from procsearch import search
+from procsearch.core import Demonstration, Sketch, record_demonstration
+from procsearch.envs.scripted import ScriptedEnv, random_aliased_env
+from procsearch.repeats import RepeatPoolSuggester
+from procsearch.search import LearnReport, UniformSuggester, UnsatisfiableDemo, learn, run_episode
+from procsearch.sketch import SketchPoolSuggester
+from tests.learn_check import UNEMITTED, HookLog, calls_into
+from tests.oracles import learn_per_episode
+from tests.test_search import MixedSuggester
+
+CAP = 300  # the budget of the full run, which bounds the budgets drawn
+
+
+@st.composite
+def memo_tasks(draw):
+    """(make_env, demo, make_suggester): a random aliased automaton or a
+    scripted chain over 1-9 actions, one of four suggesters, and a demo that
+    may hold a token the env never emits, early enough that the search can
+    exhaust position 0 within CAP episodes."""
+    n_actions = draw(st.integers(1, 9), label="n_actions")
+    horizon = draw(st.integers(1, 12), label="horizon")
+    if draw(st.booleans(), label="aliased"):
+        env_seed = draw(st.integers(0, 2**32))
+
+        def make_env():
+            return random_aliased_env(random.Random(env_seed), n_actions, horizon)[0]
+
+        script = random_aliased_env(random.Random(env_seed), n_actions, horizon)[1]
+    else:
+        script = tuple(draw(st.lists(st.integers(0, n_actions - 1),
+                                     min_size=horizon, max_size=horizon)))
+
+        def make_env():
+            return ScriptedEnv(n_actions, script)
+
+    # the sketch splits the script into segments; equal segments share a label
+    cuts = draw(st.sets(st.integers(1, horizon - 1))) if horizon > 1 else set()
+    labels = {}
+    sketch = Sketch(tuple(labels.setdefault(script[i:j], f"s{len(labels)}")
+                          for i, j in itertools.pairwise([0, *sorted(cuts), horizon])))
+    demo = record_demonstration(make_env(), script, sketch)
+    if draw(st.booleans(), label="unreachable"):
+        obs = list(demo.observations)
+        obs[draw(st.integers(0, min(horizon - 1, 2)), label="unemitted at")] = UNEMITTED
+        demo = Demonstration(tuple(obs), sketch)
+    kind = draw(st.sampled_from(("mixed", "uniform", "sketch", "repeats")), label="suggester")
+    suggester_seed = draw(st.integers(0, 2**32))
+
+    def make_suggester():
+        if kind == "mixed":
+            return MixedSuggester(suggester_seed)
+        if kind == "uniform":
+            return UniformSuggester()
+        if kind == "sketch":
+            return SketchPoolSuggester(sketch, horizon)
+        return RepeatPoolSuggester()
+
+    return make_env, demo, make_suggester
+
+
+def outcome(learner, task, seed: int, budget: int):
+    """The report, or the UnsatisfiableDemo raised, then the suggester calls
+    with the plan each found, the RNG's state and the env's latent state at
+    the end of a run on a fresh env."""
+    make_env, demo, make_suggester = task
+    env, rng, suggester = make_env(), random.Random(seed), HookLog(make_suggester())
+    try:
+        result = learner(env, demo, suggester, rng, budget)
+    except UnsatisfiableDemo as e:
+        result = ("UnsatisfiableDemo", str(e))
+    return result, suggester.log, rng.getstate(), env.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_tasks(), st.integers(0, 2**32), st.data())
+def test_inline_episodes_on_memo_envs_match_the_per_episode_oracle(task, seed, data):
+    """Equal reports, or the same UnsatisfiableDemo, the same suggester calls
+    on the same plans, and equal RNG and env states, at the full budget and
+    at a budget from 1 up to the episodes the full run took."""
+    full = outcome(learn, task, seed, CAP)
+    assert full == outcome(learn_per_episode, task, seed, CAP)
+    ends = full[0].episodes if isinstance(full[0], LearnReport) else CAP
+    budget = data.draw(st.integers(1, ends), label="budget")
+    assert outcome(learn, task, seed, budget) == outcome(learn_per_episode, task, seed, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(memo_tasks(), st.integers(0, 2**32))
+def test_a_patched_run_episode_is_called_once_per_episode(task, seed):
+    """With `search.run_episode` wrapped by a counter, `learn` calls it once
+    per episode and ends as an unpatched run does; unpatched, `learn` never
+    calls it."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return run_episode(*args)
+
+    with mock.patch.object(search, "run_episode", counted):
+        patched = outcome(learn, task, seed, CAP)
+    unpatched, unpatched_calls = calls_into(run_episode.__code__, outcome, learn, task, seed, CAP)
+    assert patched == unpatched
+    assert unpatched_calls == 0
+    if isinstance(patched[0], LearnReport):
+        assert calls == patched[0].episodes
