@@ -268,6 +268,8 @@ def read_demo_file(text: str) -> tuple[Demonstration, int]:
             raise ValueError(f"line {n}: sketch trailer names no labels: {ln!r}")
         sketch = Sketch(tuple(labels))
     for n, ln in body:
+        if ln.split()[0] == "SKETCH":
+            raise ValueError(f"line {n}: the SKETCH trailer must be the last line: {ln!r}")
         if ln.split() != [ln]:
             raise ValueError(f"line {n}: token not on one line by itself: {ln!r}")
     if len(body) != h:

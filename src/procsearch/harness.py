@@ -135,7 +135,8 @@ def parse_sweep_spec(text: str) -> list[RunConfig]:
     """Blocks of key=value lines (blank-line separated); each block expands
     to the cross product of its envs x agents x seeds. The other keys are
     RunConfig fields; a bad or repeated key or a bad value is a ConfigError
-    quoting its line."""
+    quoting its line, and a run that fails `RunConfig.validate` one naming
+    its block."""
     configs: list[RunConfig] = []
     lines = [raw.strip() for raw in text.splitlines()]
     for blank, block in groupby(lines, key=lambda line: not line):
@@ -167,8 +168,13 @@ def parse_sweep_spec(text: str) -> list[RunConfig]:
                 raise ConfigError(f"bad sweep line {line!r}: {e}") from None
         if not grid.get("env") or not grid.get("agent"):
             raise ConfigError(f"sweep block starting {block[0]!r} needs envs= and agents=")
-        configs += [RunConfig(env, agent, seed, **extra)
-                    for env, agent, seed in product(grid["env"], grid["agent"], grid["seed"])]
+        for env, agent, seed in product(grid["env"], grid["agent"], grid["seed"]):
+            config = RunConfig(env, agent, seed, **extra)
+            try:
+                config.validate()
+            except ConfigError as e:
+                raise ConfigError(f"sweep block starting {block[0]!r}: {e}") from None
+            configs.append(config)
     if not configs:
         raise ConfigError("sweep spec produced no runs")
     return configs

@@ -12,17 +12,13 @@ one step and rules the unrolled action out at that position.
 Action selection is pluggable: BPS uses a uniform suggester, the smarter
 agents plug in sketch-hypothesis, repeat-mining or oracle-aligned suggesters.
 
-An episode replays the confirmed prefix with one `env.run` batch, so the
-environment checks it once, and burns out with one `env.burn`, which draws
-each action exactly as `rng.randrange(n_actions)` would and walks it in the
-same loop; frontier steps go through `env.step`.
-
-`learn` runs each episode inline, keeping the frontier in a local. The same
-episode, one per call, is `run_episode`. When `run_episode` is overridden by
-a patch on this module, `learn` calls it once per episode, so the override
-sees every episode, as an override of `Env.step` sees every step of
-`Env.run` and `Env.burn`. Both paths make the same draws, hook calls and env
-calls in the same order.
+One loop, `_episodes`, runs every episode: it replays the prefix with one
+`env.run`, so the environment checks it once, steps the frontier through
+`env.step`, and burns out with one `env.burn`, which draws each action as
+`rng.randrange(n_actions)` would. `learn` runs it to the budget and
+`run_episode` for one episode. When `run_episode` is overridden by a patch on
+this module, `learn` calls the override once per episode instead, so it sees
+every episode, as an override of `Env.step` sees every step of `Env.run`.
 """
 
 from __future__ import annotations
@@ -122,49 +118,14 @@ class UniformSuggester(ActionSuggester):
 
 def run_episode(env: Env, demo: Demonstration, plan: PartialPlan,
                 suggester: ActionSuggester, rng: random.Random) -> EpisodeResult:
-    """One environment episode of H steps.
-
-    Replays the confirmed prefix, then works at the frontier until the first
-    mismatch, which burns out the rest of the episode with random actions
-    (or until completion). Signals a dead end without acting if the
-    frontier has no candidate actions left.
-
-    The replay is one `env.run` of the prefix and the burn-out one
-    `env.burn`, which draws its actions as `rng.randrange(n_actions)` does;
-    each frontier step is an `env.step` call.
-
-    `learn` runs the same episode inline and calls this function only when
-    it is overridden by a patch on this module (one call per episode).
-    """
-    horizon = demo.horizon
+    """One episode of H steps, as `learn` runs it. Signals a dead end without
+    acting if the frontier has no candidate actions left; takes no step on a
+    complete plan."""
     if plan.frontier_exhausted():
         return EpisodeResult(plan.frontier, 0, False, dead_end=True)
-
-    step = env.step
-    env.reset()
-    env.run(plan.confirmed)
-    steps = start = len(plan.confirmed)  # at the frontier, steps == frontier
-
-    n = plan.n_actions
-    observations, ruled_out = demo.observations, plan.ruled_out
-    suggest = suggester.suggest
-    while steps < horizon:
-        # not exhausted: checked above, and each confirmation opens an empty ledger
-        excluded = ruled_out[steps]
-        a = suggest(plan, excluded)
-        if a is None or a in excluded:
-            candidates = [x for x in range(n) if x not in excluded]
-            a = candidates[rng.randrange(len(candidates))]
-        if step(a) == observations[steps]:
-            plan.confirm(a)
-            steps += 1
-            suggester.on_confirmed(plan)
-        else:
-            plan.reject(a)
-            suggester.on_failed(plan, a)
-            env.burn(rng, horizon - steps - 1)
-            return EpisodeResult(steps, horizon, steps > start, dead_end=False)
-    return EpisodeResult(steps, steps, steps > start, dead_end=False)
+    start = plan.frontier
+    steps_taken = _episodes(env, demo, plan, suggester, rng, 1, False)[1]
+    return EpisodeResult(plan.frontier, steps_taken, plan.frontier > start, dead_end=False)
 
 
 def backtrack(plan: PartialPlan, suggester: ActionSuggester) -> None:
@@ -184,30 +145,24 @@ def backtrack(plan: PartialPlan, suggester: ActionSuggester) -> None:
     suggester.on_backtrack(plan, removed, pos)
 
 
-_RUN_EPISODE = run_episode  # `learn` runs episodes inline only while this is `run_episode`
+_RUN_EPISODE = run_episode  # `learn` calls `run_episode` only while it is not this
 
 
-def learn(env: Env, demo: Demonstration, suggester: ActionSuggester,
-          rng: random.Random, budget: int) -> LearnReport:
-    """Run episodes (and backtracks) until the full plan is found or the
-    episode budget runs out.
+def _episodes(env: Env, demo: Demonstration, plan: PartialPlan, suggester: ActionSuggester,
+              rng: random.Random, budget: int, per_episode: bool):
+    """Run up to `budget` episodes on `plan`, each after the backtracks its
+    dead end needs; returns (episodes, total_steps, backtracks, rows).
 
-    Each episode runs inline, with the same draws, hook calls and env calls
-    as `run_episode`. When `run_episode` is overridden, by a patch on this
-    module such as a tracer's or a test's, `learn` calls it once per episode
-    instead, so the override sees every episode, and reads the new frontier
-    back from the plan.
+    With `per_episode`, each episode is one call to this module's
+    `run_episode`, and the new frontier is read back from the plan.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1 episode")
-    horizon, n = demo.horizon, env.n_actions
-    plan = PartialPlan(n)
+    horizon, n = demo.horizon, plan.n_actions
     confirmed, ruled_out, observations = plan.confirmed, plan.ruled_out, demo.observations
     reset, run, step, burn = env.reset, env.run, env.step, env.burn
     suggest, on_confirmed, on_failed = suggester.suggest, suggester.on_confirmed, suggester.on_failed
     randrange = rng.randrange
-    per_episode = run_episode is not _RUN_EPISODE
-    episodes = total_steps = backtracks = steps = 0  # steps: the frontier
+    episodes = total_steps = backtracks = 0
+    steps = len(confirmed)  # the frontier
     rows = []
     while steps < horizon and episodes < budget:
         while len(ruled_out[steps]) >= n:
@@ -221,7 +176,7 @@ def learn(env: Env, demo: Demonstration, suggester: ActionSuggester,
         else:
             reset()
             run(confirmed)
-            taken = horizon  # an inline episode completes the plan or burns out
+            taken = horizon  # an episode completes the plan or burns out
             while steps < horizon:
                 # not exhausted: backtracked above, and each confirmation opens an empty ledger
                 excluded = ruled_out[steps]
@@ -241,13 +196,27 @@ def learn(env: Env, demo: Demonstration, suggester: ActionSuggester,
                     break
         total_steps += taken
         rows.append((episodes, taken, steps, backtracks, steps >= horizon))
+    return episodes, total_steps, backtracks, rows
+
+
+def learn(env: Env, demo: Demonstration, suggester: ActionSuggester,
+          rng: random.Random, budget: int) -> LearnReport:
+    """Run episodes (and backtracks) until the full plan is found or the
+    episode budget runs out; a patched `run_episode` is called once per
+    episode."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1 episode")
+    plan = PartialPlan(env.n_actions)
+    episodes, total_steps, backtracks, rows = _episodes(
+        env, demo, plan, suggester, rng, budget, run_episode is not _RUN_EPISODE)
+    complete = len(plan.confirmed) >= demo.horizon
     return LearnReport(
-        plan=tuple(confirmed),
+        plan=tuple(plan.confirmed),
         episodes=episodes,
         total_steps=total_steps,
         backtracks=backtracks,
-        complete=steps >= horizon,
-        stop_reason="complete" if steps >= horizon else "budget",
+        complete=complete,
+        stop_reason="complete" if complete else "budget",
         rows=rows,
     )
 

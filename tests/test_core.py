@@ -125,6 +125,16 @@ def test_demo_file_bad_inputs():
         write_demo_file(Demonstration(("a", "SKETCH")), 2)
 
 
+@pytest.mark.parametrize("text, n, line", [
+    ("H=2 A=1\nSKETCH\nz\n", 2, "SKETCH"),  # a bare SKETCH is no observation
+    ("H=2 A=1\nz\nSKETCH a\ny\n", 3, "SKETCH a"),
+], ids=["bare", "with-labels"])
+def test_demo_file_sketch_trailer_only_on_the_last_line(text, n, line):
+    reason = f"line {n}: the SKETCH trailer must be the last line: {line!r}"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        read_demo_file(text)
+
+
 _TOKEN = st.text(min_size=1, max_size=8).filter(lambda t: t.split() == [t] and t != "SKETCH")
 
 

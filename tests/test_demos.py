@@ -1,7 +1,8 @@
 """Every demo script runs to completion.
 
 Each runs in its own process from a scratch directory, since a demo may
-write its outputs under the working directory.
+write its outputs under the working directory, and with every warning an
+error, as pytest's own warning filter does not reach the subprocess.
 """
 
 import os
@@ -18,6 +19,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr

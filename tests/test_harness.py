@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -114,6 +115,17 @@ def test_parse_sweep_spec_names_a_block_without_envs_or_agents(spec, first):
         parse_sweep_spec(spec)
 
 
+@pytest.mark.parametrize("block, reason", [
+    ("envs=nope\nagents=bps", "unknown environment 'nope'"),
+    ("agents=bps\nenvs=chain\nseeds=-2", "seed must be >= 0, got -2"),
+    ("max_episodes=0\nenvs=chain\nagents=bps", "max_episodes must be >= 1"),
+], ids=["env", "seed", "max-episodes"])
+def test_parse_sweep_spec_names_the_block_of_a_bad_value(block, reason):
+    first = block.split("\n")[0]
+    with pytest.raises(ConfigError, match=re.escape(f"sweep block starting {first!r}: {reason}")):
+        parse_sweep_spec(f"envs=chain\nagents=bps\n\n{block}\n")  # the first block is sound
+
+
 def test_run_agent_rejects_unknown_options():
     task = make_task("chain")
     for key, value in (("n_hypotheses_typo", 3), ("early_reset", True), ("min_repeat_len", 3)):
@@ -137,10 +149,12 @@ def test_every_run_config_field_round_trips_through_cli_and_sweep(monkeypatch):
     base = RunConfig("chain", "bps", 0)
     captured = []
     monkeypatch.setattr(cli, "run", lambda c: captured.append(c) or RunRecord(c, 1, 1, 1, 0, True))
+    registered = {"env": "gem", "agent": "plots_sketch"}  # a sweep spec validates its runs
     for f in fields(RunConfig):
         old = getattr(base, f.name)
         kind = field_type(f)  # raises on a type neither front end can fill
         new = (not old) if kind is bool else old + 3 if kind is int else f"x_{f.name}"
+        new = registered.get(f.name, new)
         want = replace(base, **{f.name: new})
         name = f.name.replace("_", "-")
         args = ["run", "--env", "chain", "--agent", "bps", "--seed", "0"]

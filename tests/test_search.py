@@ -10,7 +10,7 @@ from procsearch.envs.scripted import (
     ScriptedEnv, make_chain, make_markov_scripted, random_aliased_env, trap_env,
 )
 from procsearch.search import (
-    ActionSuggester, PartialPlan, UniformSuggester, UnsatisfiableDemo,
+    ActionSuggester, EpisodeResult, PartialPlan, UniformSuggester, UnsatisfiableDemo,
     backtrack, learn, replay_matches, run_episode,
 )
 from tests.oracles import run_episode_scan
@@ -71,6 +71,20 @@ def test_dead_end_signaled_without_acting():
     res = run_episode(env, demo, plan, UniformSuggester(), random.Random(0))
     assert res.dead_end
     assert res.steps_taken == 0
+
+
+def test_episode_on_a_complete_plan_takes_no_step():
+    env, script = make_chain(n_actions=2, horizon=3)
+    demo = record_demonstration(env, script)
+    plan = PartialPlan(env.n_actions)
+    for a in script:
+        plan.confirm(a)
+    recording, rng = RecordingEnv(env), random.Random(0)
+    state = rng.getstate()
+    res = run_episode(recording, demo, plan, UniformSuggester(), rng)
+    assert res == EpisodeResult(3, 0, False, dead_end=False)
+    assert plan.confirmed == list(script)
+    assert recording.log == [] and rng.getstate() == state
 
 
 def test_mismatch_fills_episode_with_random_actions():
@@ -240,3 +254,27 @@ def test_episode_loop_matches_the_scan_oracle(task, seed, suggester_seed):
         return report, recording.log, rng.getstate()
 
     assert learn_with(run_episode) == learn_with(run_episode_scan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_tasks(), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_run_episode_matches_the_scan_oracle_episode_by_episode(task, seed, suggester_seed):
+    """`run_episode` and the oracle, driven side by side on twin envs, plans,
+    RNGs and suggesters, with a backtrack after each dead end, return equal
+    results and leave equal plans, env traffic and RNG states."""
+    env, script = task
+    demo = record_demonstration(env, script)
+    twins = [(RecordingEnv(env), PartialPlan(env.n_actions), MixedSuggester(suggester_seed),
+              random.Random(seed)) for _ in range(2)]
+    (env_a, plan_a, sug_a, rng_a), (env_b, plan_b, sug_b, rng_b) = twins  # b: the oracle's
+    for _ in range(200):
+        if plan_a.frontier >= demo.horizon:
+            break  # the oracle replays a complete plan; run_episode takes no step
+        result = run_episode(env_a, demo, plan_a, sug_a, rng_a)
+        assert result == run_episode_scan(env_b, demo, plan_b, sug_b, rng_b)
+        if result.dead_end:
+            backtrack(plan_a, sug_a)
+            backtrack(plan_b, sug_b)
+        assert plan_a == plan_b
+        assert env_a.log == env_b.log
+        assert rng_a.getstate() == rng_b.getstate()
