@@ -20,6 +20,7 @@ from .envs import ENV_REGISTRY, make_task
 from .search import LearnReport
 
 CSV_HEADER = "episode,steps,matched,backtracks,done"
+CSV_ROW = "%d,%d,%d,%d,%d\n"  # one row tuple; %d prints `done` as 0 or 1
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,7 @@ class RunRecord:
     stop_reason: str | None = None  # the LearnReport's, when built from one
 
     def csv(self) -> str:
-        lines = [CSV_HEADER]
-        for ep, steps, matched, bt, done in self.rows:
-            lines.append(f"{ep},{steps},{matched},{bt},{int(done)}")
-        return "\n".join(lines) + "\n"
+        return CSV_HEADER + "\n" + "".join(map(CSV_ROW.__mod__, self.rows))
 
 
 def run(config: RunConfig) -> RunRecord:

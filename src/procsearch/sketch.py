@@ -40,12 +40,17 @@ alignment.
 The pool never changes a hypothesis it holds; a confirmation advances
 copies of the active ones. So the checkpoint each confirmation saves for its
 plan length shares those hypotheses: the active set, the length of the
-frozen list and the ranking of the active suggestions. The latest one is the
-pool's state. The frozen list only grows at its tail; it grows only while
-the active set is full, when its cap is at its lowest, so the cap only ever
-drops hypotheses frozen by the same confirmation. A backtrack only cuts the
-plan short, so it cuts the checkpoints and the frozen list back to the new
-length, instead of replaying the plan from the start or ranking again.
+frozen list, the ranking of the active suggestions and the length of the
+plan's longest suffix that also occurs earlier in it. The latest one is the
+pool's state. No branch or claim can match a longer repeat than that
+suffix, so that one length, found once per confirmation, caps both length
+loops. A copy keeps its memos of the repeat site, the score and the next
+assigned element while its open run absorbs the action, since only the
+consumed count moves. The frozen list only grows at its tail; it grows only
+while the active set is full, when its cap is at its lowest, so the cap only
+ever drops hypotheses frozen by the same confirmation. A backtrack only cuts
+the plan short, so it cuts the checkpoints and the frozen list back to the
+new length, instead of replaying the plan from the start or ranking again.
 """
 
 from __future__ import annotations
@@ -58,6 +63,17 @@ from .search import ActionSuggester, PartialPlan
 
 
 _UNSET = object()  # a memo not computed yet
+
+
+def repeated_suffix(pb: bytes, bound: int) -> int:
+    """Length of the longest suffix of plan `pb` that also occurs inside
+    `pb[:-1]`, known to be at most `bound`. A suffix of a repeated suffix
+    repeats too, so the first length found from `bound` down is the answer."""
+    t = len(pb)
+    for ln in range(min(bound, t - 1), 0, -1):
+        if pb.find(pb[t - ln:], 0, t - 1) != -1:
+            return ln
+    return 0
 
 
 @cache
@@ -75,13 +91,17 @@ class Hypothesis:
     segments, multi-element blocks are ambiguous regions. The open state is
     either mode A (inside element `elem`, `offset` actions consumed of its
     assignment) or an open run starting at element `run_elem` that has
-    absorbed the plan since position `run_pos0`. `_site` memoises
-    `_repeat_site` until `advance` moves the alignment on; the pool builds
-    and advances only fresh `_shell` copies, which have no memo yet.
+    absorbed the plan since position `run_pos0`. `_site`, `_score` and
+    `_next` memoise `_repeat_site`, `score` and `_next_assigned`. An open run
+    that absorbs an action changes only `consumed`, so `advance` keeps them
+    there, moving the site's cap along when it is `consumed`; a step inside
+    an assigned element drops the score, and `_enter` drops all three.
+    `_shell` copies hold no memo; `_copy` carries them, for the pool to
+    advance.
     """
 
     __slots__ = ("sketch", "assigned", "layout", "elem", "offset",
-                 "run_elem", "run_pos0", "consumed", "created", "_site")
+                 "run_elem", "run_pos0", "consumed", "created", "_site", "_score", "_next")
 
     def __init__(self, sketch: tuple[str, ...], assigned: dict, layout: list,
                  consumed: int, created: int = 0):
@@ -94,7 +114,7 @@ class Hypothesis:
         self.offset = 0
         self.run_elem: int | None = None
         self.run_pos0 = 0
-        self._site = _UNSET
+        self._site = self._score = self._next = _UNSET
 
     @classmethod
     def blank(cls, sketch: tuple[str, ...]) -> "Hypothesis":
@@ -111,6 +131,7 @@ class Hypothesis:
     def _enter(self, j: int, pos: int) -> None:
         self.elem = j
         self.offset = 0
+        self._site = self._score = self._next = _UNSET
         if j >= len(self.sketch):
             self.run_elem = None
             return
@@ -125,13 +146,17 @@ class Hypothesis:
         contradicts the plan and must be eliminated."""
         if self.is_complete:
             return False  # alignment claims the procedure already ended
-        self._site = _UNSET
         if self.run_elem is not None:
             self.consumed += 1
+            site = self._site
+            if site is not None and site is not _UNSET and site[5] is None:
+                # the first occurrence lies in the run: its cap is `consumed`
+                self._site = (*site[:4], self.consumed, *site[5:])
             return True
         content = self.assigned[self.sketch[self.elem]]
         if a != content[self.offset]:
             return False
+        self._score = _UNSET
         self.offset += 1
         self.consumed += 1
         if self.offset == len(content):
@@ -150,9 +175,20 @@ class Hypothesis:
         h.run_elem, h.run_pos0 = self.run_elem, self.run_pos0
         return h
 
+    def _copy(self) -> "Hypothesis":
+        """A `_shell` that carries the memos."""
+        h = self._shell()
+        h._site, h._score, h._next = self._site, self._score, self._next
+        return h
+
     # -- scoring (maximum future reduction in learning time) -----------------
 
     def score(self) -> int:
+        if self._score is _UNSET:
+            self._score = self._find_score()
+        return self._score
+
+    def _find_score(self) -> int:
         if self.is_complete:
             return 0
         if self.run_elem is not None:
@@ -171,6 +207,15 @@ class Hypothesis:
             lbl = self.sketch[j]
             total += len(self.assigned[lbl]) if lbl in self.assigned else 1
         return total
+
+    def _next_assigned(self) -> int | None:
+        """The first element after the open run's first one whose label has
+        an assignment, or None."""
+        if self._next is _UNSET:
+            assigned, sketch = self.assigned, self.sketch
+            self._next = next((j for j in range(self.run_elem + 1, len(sketch))
+                               if sketch[j] in assigned), None)
+        return self._next
 
     def _repeat_site(self):
         """Where the main label m's first occurrence j1 could lie if its
@@ -215,7 +260,8 @@ class Hypothesis:
     def _first_window(self, site, s2: int, ln: int):
         """(lo, hi): where a first occurrence of length `ln`, repeated from
         `s2`, can start inside its run or region (None: nowhere); one that
-        opens the run starts where the run does."""
+        opens the run starts where the run does. The length loops of
+        `optimistic_claim` and `SketchPool.branch` compute it inline."""
         _, j1, _, lo, _, hi_base, mid_min, _, _ = site
         hi = s2 - mid_min - ln
         if hi_base is not None and hi_base - ln < hi:
@@ -228,42 +274,49 @@ class Hypothesis:
 
     # -- suggestion -----------------------------------------------------------
 
-    def optimistic_claim(self, pb: bytes):
+    def optimistic_claim(self, pb: bytes, bound: int):
         """In an open run, interpret the plan suffix as an in-progress repeat
         of the main label: its first occurrence started as long ago as the
         alignment allows and is repeating right now. Returns the continuation
         action, the assumed content length, and how many times the main
-        label occurs from the repeat on.
+        label occurs from the repeat on. `bound` is `repeated_suffix` of
+        `pb`: every match ends before the repeat, which starts before the
+        plan's end, so no longer repeat can match.
         """
-        if self.consumed == self.run_pos0:
+        if self.consumed == self.run_pos0 or bound < 1:
             return None  # an empty run holds no repeat yet: r_hi below is <= 0
         site = self._repeat_site()
         if site is None:
             return None
-        _, _, _, lo, cap, _, mid_min, lo_rep, n_rep = site
+        _, j1, _, lo, cap, hi_base, mid_min, lo_rep, n_rep = site
         t = self.consumed
         r_hi = t - lo_rep
         if r_hi >= cap:
             # a region-buried first occurrence is only reasoned about while
             # the in-progress repeat could still fit the region entirely
             return None
+        at_run = j1 == self.run_elem  # a first occurrence there starts at lo
         # the first window of length r + 1 is non-empty exactly for r up to
         # here; its region bound, r <= hi_base - 1 - lo, follows from r < cap
-        for r in range(min(r_hi, (t - mid_min - 1 - lo) // 2), 0, -1):
+        for r in range(min(r_hi, (t - mid_min - 1 - lo) // 2, bound), 0, -1):
             s2 = t - r
-            window = self._first_window(site, s2, r + 1)
-            p = pb.find(pb[s2:t], window[0], window[1] + r)
+            # the last start of `_first_window(site, s2, r + 1)`, plus r
+            end = lo + r if at_run else s2 - mid_min - 1
+            if hi_base is not None and hi_base - 1 < end:
+                end = hi_base - 1
+            p = pb.find(pb[s2:t], lo, end)
             if p != -1:
                 return pb[p + r], s2 - mid_min - p, n_rep
         return None
 
-    def proposal(self, pb: bytes, optimistic: bool = True):
+    def proposal(self, pb: bytes, bound: int, optimistic: bool = True):
         """(suggested action, effective score), or None without a claim.
 
         Inside an assigned element the action is read off the assignment and
         the effective score is the base score; in an open run the optimistic
         rule (when on) answers, and the score adds the reduction its
-        hypothesized main-label content would bring.
+        hypothesized main-label content would bring. `bound` is
+        `repeated_suffix` of `pb`.
         """
         if self.is_complete:
             return None
@@ -271,7 +324,7 @@ class Hypothesis:
             return self.assigned[self.sketch[self.elem]][self.offset], self.score()
         if not optimistic:
             return None
-        claim = self.optimistic_claim(pb)
+        claim = self.optimistic_claim(pb, bound)
         if claim is None:
             return None
         a, length, n_rep = claim
@@ -279,7 +332,7 @@ class Hypothesis:
 
     def suggest(self, pb: bytes, optimistic: bool = True) -> Action | None:
         """Next action according to this hypothesis, None if it has no claim."""
-        got = self.proposal(pb, optimistic)
+        got = self.proposal(pb, repeated_suffix(pb, len(pb)), optimistic)
         return None if got is None else got[0]
 
 
@@ -302,9 +355,10 @@ class SketchPool:
         self.max_branch_per_parent = 0  # high-water mark, for property tests
         # checkpoints[d]: the state after confirming the plan's first d actions,
         # for d up to its length: (the active hypotheses, the blank first,
-        # len(frozen), select's ranking of (hypothesis, claimed action) pairs)
-        self.checkpoints: list[tuple[list[Hypothesis], int, list]] = [
-            ([Hypothesis.blank(tuple(sketch.elements))], 0, [])]
+        # len(frozen), select's ranking of (hypothesis, claimed action) pairs,
+        # repeated_suffix of the plan)
+        self.checkpoints: list[tuple[list[Hypothesis], int, list, int]] = [
+            ([Hypothesis.blank(tuple(sketch.elements))], 0, [], 0)]
 
     @property
     def active(self) -> list[Hypothesis]:
@@ -318,10 +372,11 @@ class SketchPool:
         more assigned labels, then the older hypothesis."""
         return (-(h.score() if got is None else got[1]), -len(h.assigned), h.created)
 
-    def _proposals(self, hypotheses, pb: bytes) -> list[tuple]:
-        """(rank, h, proposal) for each h of `hypotheses`, best rank first."""
+    def _proposals(self, hypotheses, pb: bytes, bound: int) -> list[tuple]:
+        """(rank, h, proposal) for each h of `hypotheses`, best rank first;
+        `bound` is `repeated_suffix` of `pb`."""
         return sorted(((self._rank(h, got), h, got) for h in hypotheses
-                       for got in [h.proposal(pb, self.optimistic)]), key=itemgetter(0))
+                       for got in [h.proposal(pb, bound, self.optimistic)]), key=itemgetter(0))
 
     def stored_count(self) -> int:
         return len(self.active) + len(self.frozen)
@@ -366,7 +421,7 @@ class SketchPool:
 
     # -- hypothesis creation ---------------------------------------------------
 
-    def branch(self, parent: Hypothesis, pb: bytes) -> list[Hypothesis]:
+    def branch(self, parent: Hypothesis, pb: bytes, bound: int) -> list[Hypothesis]:
         """Children of `parent` given that the newest plan action completed a
         repeat of the main label at the end of the plan: one child per
         feasible (content length, first-occurrence position). Each splits the
@@ -374,15 +429,17 @@ class SketchPool:
         one more block) and pins the repeat; a first occurrence buried in a
         closed ambiguous region needs a run short enough that every candidate
         content fits the region (same recency gate as the optimistic rule).
+        `bound` is `repeated_suffix` of `pb`: every match ends by
+        s2 - mid_min < t, so no longer content can match.
         """
         t = parent.consumed
         longest = (t - parent.run_pos0) // 2
-        if longest < 1:
-            return []  # no repeat fits the run yet
+        if longest < 1 or bound < 1:
+            return []  # no repeat fits the run yet, or none has occurred
         site = parent._repeat_site()
         if site is None:
             return []
-        m, j1, rep, lo_first, cap, _, mid_min, lo_rep, _ = site
+        m, j1, rep, lo_first, cap, hi_base, mid_min, lo_rep, _ = site
         if longest > cap or rep == parent.run_elem:
             # a repeat that opens the run (first occurrence in a closed
             # region) must start at run_pos0, but every s2 = t - ln lies past it
@@ -390,16 +447,22 @@ class SketchPool:
         # nothing lies between the occurrences in the open run, so the first
         # one can only start at s2 - ln, the end of its window
         adjacent = rep == j1 + 1 and j1 >= parent.run_elem
+        at_run = j1 == parent.run_elem  # a first occurrence there starts at lo_first
         children: list[Hypothesis] = []
         # exactly these lengths have s2 = t - ln >= lo_rep and a first window;
         # its region bound, ln <= hi_base - lo_first = cap, holds for ln <= longest
-        top = min(longest, t - lo_rep, (t - mid_min - lo_first) // 2)
+        top = min(longest, t - lo_rep, (t - mid_min - lo_first) // 2, bound)
         # longest candidate content first: most informative, most falsifiable
         for ln in range(top, 0, -1):
             if len(children) >= self.branch_cap:
                 break
             s2 = t - ln
-            lo, hi = parent._first_window(site, s2, ln)
+            # `_first_window(site, s2, ln)`
+            lo = hi = lo_first
+            if not at_run:
+                hi = s2 - mid_min - ln
+                if hi_base is not None and hi_base - ln < hi:
+                    hi = hi_base - ln
             if adjacent:
                 if hi != s2 - ln:
                     continue
@@ -446,8 +509,7 @@ class SketchPool:
         if parent.run_elem is None:  # also when complete: _enter clears it
             return None
         pos = parent.consumed  # position of the arriving action
-        j_next = next((j for j in range(parent.run_elem + 1, len(parent.sketch))
-                       if parent.sketch[j] in parent.assigned), None)
+        j_next = parent._next_assigned()
         if j_next is None:
             return None
         if parent.assigned[parent.sketch[j_next]][0] != a:
@@ -475,25 +537,27 @@ class SketchPool:
         self.seen = set()
         a = actions[-1]
         pb = bytes(actions)
+        # this plan's repeated suffix less its last action repeats in the previous plan
+        bound = repeated_suffix(pb, self.checkpoints[-1][3] + 1)
         kids = [kid for parent in self.active
                 if (kid := self.run_split(parent, pb, a)) is not None]
         # advance copies: the hypotheses of earlier checkpoints stay as they were
-        blank, *rest = (h._shell() for h in self.active)
+        blank, *rest = (h._copy() for h in self.active)
         blank.advance(a)  # no assignment, so nothing to contradict
         pool = [h for h in rest if h.advance(a)] + kids
         for parent in (blank, *pool):
-            new = self.branch(parent, pb)
+            new = self.branch(parent, pb, bound)
             self.max_branch_per_parent = max(self.max_branch_per_parent, len(new))
             pool.extend(new)
-        ranked = self._proposals(pool, pb)
+        ranked = self._proposals(pool, pb, bound)
         keep = self.n_active - 1  # the blank permanently holds one slot
         active = [blank] + [h for _, h, _ in ranked[:keep]]
         # no suggestion reads a frozen hypothesis: past the cap, drop the newest
         self.frozen.extend(h for _, h, _ in ranked[keep:])
         del self.frozen[max(0, self.mem_cap - len(active)):]
-        tracked = sorted(self._proposals([blank], pb) + ranked[:keep], key=itemgetter(0))
+        tracked = sorted(self._proposals([blank], pb, bound) + ranked[:keep], key=itemgetter(0))
         ranking = [(h, got[0]) for _, h, got in tracked if got is not None]
-        self.checkpoints.append((active, len(self.frozen), ranking))
+        self.checkpoints.append((active, len(self.frozen), ranking, bound))
 
     def rebuild(self, n: int) -> None:
         """Return to the state after confirming the first `n` actions of the

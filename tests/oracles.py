@@ -347,13 +347,23 @@ def optimistic_claim_every_r(h, pb: bytes):
     return None
 
 
+def repeated_suffix_scan(pb: bytes) -> int:
+    """Oracle for `sketch.repeated_suffix`: tries every suffix length against
+    every start that ends before the plan's last action, where the library
+    searches down from a bound with `bytes.find`."""
+    t = len(pb)
+    return max((ln for ln in range(t)
+                if any(pb[i:i + ln] == pb[t - ln:] for i in range(t - ln))), default=0)
+
+
 def select_scan(pool, actions, excluded: set[Action]):
     """Oracle for `SketchPool.select`: ranks every active hypothesis's
     proposal on every call, each computed on a fresh copy that holds no
     memo, where the library keeps one ranking per plan length."""
     pb = bytes(actions)
+    bound = repeated_suffix_scan(pb)
     best = min(((pool._rank(h, got), h, got[0]) for h in pool.active
-                if (got := h._shell().proposal(pb, pool.optimistic)) is not None
+                if (got := h._shell().proposal(pb, bound, pool.optimistic)) is not None
                 and got[0] not in excluded), default=None)
     return None if best is None else best[1:]
 

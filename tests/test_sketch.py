@@ -9,10 +9,10 @@ from procsearch.core import Demonstration, Sketch, record_demonstration
 from procsearch.envs import make_task
 from procsearch.envs.scripted import ScriptedEnv
 from procsearch.search import UniformSuggester, learn
-from procsearch.sketch import Hypothesis, SketchPool, SketchPoolSuggester
+from procsearch.sketch import Hypothesis, SketchPool, SketchPoolSuggester, repeated_suffix
 from tests.oracles import (
     branch_scan_every_match, exact_segments, is_consistent, optimistic_claim_every_r,
-    select_scan,
+    repeated_suffix_scan, select_scan,
 )
 
 E, F, G, H_ACT, I_ACT = 0, 1, 2, 3, 4
@@ -196,7 +196,7 @@ def test_branch_count_bounded_by_half_horizon():
             assert all(key[-1] == t for key in pool.seen)
             assert len(pool.seen) <= seen_cap
             # one checkpoint per plan depth, each at most the active set
-            saved = sum(len(active) for active, _, _ in pool.checkpoints)
+            saved = sum(len(active) for active, *_ in pool.checkpoints)
             assert saved <= pool.n_active * (t + 1)
         assert pool.max_branch_per_parent <= horizon / 2
         assert pool.stored_count() <= 4 * horizon * horizon
@@ -209,7 +209,7 @@ def test_select_prefers_higher_score():
     hi = Hypothesis(sk, {"x": (E,), "y": (F, G)}, [], 0)
     hi._enter(0, 0)
     pool = SketchPool(Sketch(sk), horizon=12, n_active=4)
-    ranked = pool._proposals([lo, hi], b"")
+    ranked = pool._proposals([lo, hi], b"", 0)
     assert [(h, got[0]) for _, h, got in ranked] == [(hi, E), (lo, E)]
     assert hi.score() > lo.score()
 
@@ -239,11 +239,11 @@ def test_select_tie_break_more_assignments_then_age():
     b.created = 9
     assert a.score() == b.score() == 4
     pool = SketchPool(Sketch(sk), horizon=8, n_active=4)
-    assert pool._proposals([a, b], b"")[0][1] is b  # more assigned labels
+    assert pool._proposals([a, b], b"", 0)[0][1] is b  # more assigned labels
     c = Hypothesis(sk, {"x": (E, F)}, [], 0)
     c._enter(0, 0)
     c.created = 1
-    assert pool._proposals([a, c], b"")[0][1] is c  # older wins the tie
+    assert pool._proposals([a, c], b"", 0)[0][1] is c  # older wins the tie
 
 
 def test_active_capacity_respected():
@@ -455,12 +455,60 @@ def test_branch_matches_the_scan_every_match_oracle(labels, plan, horizon, n_act
     for t in range(1, len(plan) + 1):
         pool.on_confirmed(plan[:t])
         pb = bytes(plan[:t])
+        bound = pool.checkpoints[-1][3]  # the repeated suffix the pool found
         for parent in pool.active + [h for h in pool.frozen if h.consumed == t]:
             pool.seen = set()  # each side adopts its children afresh
-            got = [h.key() for h in pool.branch(parent, pb)]
+            got = [h.key() for h in pool.branch(parent, pb, bound)]
             pool.seen = set()
             assert got == [h.key() for h in branch_scan_every_match(pool, parent, pb)]
-            # the claim's r loop skips only repeat lengths whose window is empty
-            assert parent.optimistic_claim(pb) == optimistic_claim_every_r(parent, pb)
+            # the claim's r loop skips only repeat lengths whose window is
+            # empty or longer than the repeated suffix
+            assert parent.optimistic_claim(pb, bound) == optimistic_claim_every_r(parent, pb)
             # the memoised site is the one a fresh copy computes
             assert parent._repeat_site() == parent._shell()._repeat_site()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=30))
+@example([])
+@example([1])
+@example([0, 0])
+@example([0, 1, 0, 1, 0, 1])  # the longest repeat overlaps the suffix
+def test_repeated_suffix_matches_the_scan_oracle(plan):
+    pb = bytes(plan)
+    assert repeated_suffix(pb, len(pb)) == repeated_suffix_scan(pb)
+    # the pool's way: from the previous plan's length plus one, down
+    bound = 0
+    for t in range(len(pb) + 1):
+        bound = repeated_suffix(pb[:t], bound + 1)
+        assert bound == repeated_suffix_scan(pb[:t])
+
+
+def memos(h):
+    """`h`'s repeat site, score and next assigned element; the ones it
+    carries, computed now where it carries none."""
+    return h._repeat_site(), h.score(), None if h.run_elem is None else h._next_assigned()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(("b0", "b1", "b2", "b3")), min_size=2, max_size=7),
+       st.lists(st.integers(-1, 2), min_size=2, max_size=30),  # -1: backtrack one step
+       st.sampled_from((4, 20)), st.integers(1, 4))
+@example(["b0", "b1", "b0", "b1"], [0, 1, 0, 1, 2, 0, 1, 0, 1, 2], 20, 4)
+@example(["b0", "b0", "b2", "b0"], [0, 0, 1], 20, 4)  # a run carries its next assigned element
+# a first occurrence in a closed region, whose site keeps its cap
+@example(["b0", "b3", "b1", "b0", "b1"], [2, 1, 0, 2, 0, 0, 0, 1], 20, 3)
+# an assigned element that ends in an open run drops the site found inside it
+@example(["b0", "b3", "b3", "b3", "b2", "b2", "b2"], [2, 0, 2, 2, 2], 4, 3)
+def test_carried_memos_match_a_fresh_copy(labels, ops, horizon, n_active):
+    pool = SketchPool(Sketch(tuple(labels)), horizon=horizon, n_active=n_active)
+    plan = []
+    for op in ops:
+        if op >= 0:
+            plan.append(op)
+            pool.on_confirmed(plan)
+        elif plan:
+            plan.pop()
+            pool.rebuild(len(plan))
+        for h in pool.active:
+            assert memos(h) == memos(h._shell())
