@@ -241,6 +241,8 @@ def write_demo_file(demo: Demonstration, n_actions: int) -> str:
             raise ValueError(f"token not serializable on one line: {tok!r}")
     if "SKETCH" in demo.observations:
         raise ValueError("observation token 'SKETCH' would read back as the sketch trailer")
+    if type(n_actions) is not int or n_actions < 1:  # a bool would write A=True
+        raise ValueError(f"n_actions must be an int >= 1, got {n_actions!r}")
     lines = [f"H={demo.horizon} A={n_actions}"]
     lines.extend(demo.observations)
     if demo.sketch is not None:

@@ -44,9 +44,9 @@ frozen list, the ranking of the active suggestions and the length of the
 plan's longest suffix that also occurs earlier in it. The latest one is the
 pool's state. No branch or claim can match a longer repeat than that
 suffix, so that one length, found once per confirmation, caps both length
-loops. A copy keeps its memos of the repeat site, the score and the next
-assigned element while its open run absorbs the action, since only the
-consumed count moves. The frozen list only grows at its tail; it grows only
+loops. The repeat site depends on the alignment alone, so a copy keeps its
+memos of it, the score and the next assigned element while its open run
+absorbs the action. The frozen list only grows at its tail; it grows only
 while the active set is full, when its cap is at its lowest, so the cap only
 ever drops hypotheses frozen by the same confirmation. A backtrack only cuts
 the plan short, so it cuts the checkpoints and the frozen list back to the
@@ -92,10 +92,10 @@ class Hypothesis:
     either mode A (inside element `elem`, `offset` actions consumed of its
     assignment) or an open run starting at element `run_elem` that has
     absorbed the plan since position `run_pos0`. `_site`, `_score` and
-    `_next` memoise `_repeat_site`, `score` and `_next_assigned`. An open run
-    that absorbs an action changes only `consumed`, so `advance` keeps them
-    there, moving the site's cap along when it is `consumed`; a step inside
-    an assigned element drops the score, and `_enter` drops all three.
+    `_next` memoise `_repeat_site`, `score` and `_next_assigned`. None of them
+    reads `consumed`, the only thing an open run that absorbs an action
+    changes, so `advance` keeps them there; a step inside an assigned
+    element drops the score, and `_enter` drops all three.
     `_shell` copies hold no memo; `_copy` carries them, for the pool to
     advance.
     """
@@ -148,10 +148,6 @@ class Hypothesis:
             return False  # alignment claims the procedure already ended
         if self.run_elem is not None:
             self.consumed += 1
-            site = self._site
-            if site is not None and site is not _UNSET and site[5] is None:
-                # the first occurrence lies in the run: its cap is `consumed`
-                self._site = (*site[:4], self.consumed, *site[5:])
             return True
         content = self.assigned[self.sketch[self.elem]]
         if a != content[self.offset]:
@@ -208,6 +204,14 @@ class Hypothesis:
             total += len(self.assigned[lbl]) if lbl in self.assigned else 1
         return total
 
+    def _regions_fit(self, lbl: str, j: int) -> bool:
+        """Whether every ambiguous region still fits its elements once `lbl`, at
+        element j, has content. Stretches close in element order, so only an
+        occurrence before j or before the open run can lie in one closed earlier."""
+        sketch = self.sketch
+        return (sketch.index(lbl) == j and lbl not in sketch[j + 1:self.run_elem]) or all(
+            end - lo >= self._min_span(a, b + 1) for a, b, lo, end in self.layout if b > a)
+
     def _next_assigned(self) -> int | None:
         """The first element after the open run's first one whose label has
         an assignment, or None."""
@@ -219,12 +223,12 @@ class Hypothesis:
 
     def _repeat_site(self):
         """Where the main label m's first occurrence j1 could lie if its
-        occurrence `rep` at or after the open run is repeating now:
-        (m, j1, rep, lo, cap, hi_base, mid_min, lo_rep, n_rep), or None. j1
-        starts at `lo` or later and, with content length ln <= `cap`, at
-        `hi_base - ln` or earlier (None: unconstrained); the elements between
-        the occurrences take `mid_min` positions or more; `rep` starts at
-        `lo_rep` or later; m occurs `n_rep` times from `rep` on."""
+        occurrence `rep` at or after the open run is repeating now, from the
+        alignment alone: (m, j1, rep, lo, hi_base, mid_min, lo_rep, n_rep), or
+        None. j1 starts at `lo` or later and, with content length ln, at
+        `hi_base - ln` or earlier (None: in the open run, unconstrained); the
+        elements between the occurrences take `mid_min` positions or more;
+        `rep` starts at `lo_rep` or later; m occurs `n_rep` times from `rep` on."""
         if self._site is _UNSET:
             self._site = self._find_repeat_site()
         return self._site
@@ -244,8 +248,7 @@ class Hypothesis:
             return None
         rep = occ[k]
         if j1 >= run_elem:
-            lo = self.run_pos0 + self._min_span(run_elem, j1)
-            cap, hi_base = self.consumed, None
+            lo, hi_base = self.run_pos0 + self._min_span(run_elem, j1), None
         else:
             # j1 lies in a closed block, an ambiguous region: a one-element
             # block's label is assigned, and m is not
@@ -253,24 +256,8 @@ class Hypothesis:
                 block for block in self.layout if block[0] <= j1 <= block[1])
             lo = pos_lo + self._min_span(elem_lo, j1)
             hi_base = pos_end - self._min_span(j1 + 1, elem_hi + 1)
-            cap = hi_base - lo
-        return (m, j1, rep, lo, cap, hi_base, self._min_span(j1 + 1, rep),
+        return (m, j1, rep, lo, hi_base, self._min_span(j1 + 1, rep),
                 self.run_pos0 + self._min_span(run_elem, rep), len(occ) - k)
-
-    def _first_window(self, site, s2: int, ln: int):
-        """(lo, hi): where a first occurrence of length `ln`, repeated from
-        `s2`, can start inside its run or region (None: nowhere); one that
-        opens the run starts where the run does. The length loops of
-        `optimistic_claim` and `SketchPool.branch` compute it inline."""
-        _, j1, _, lo, _, hi_base, mid_min, _, _ = site
-        hi = s2 - mid_min - ln
-        if hi_base is not None and hi_base - ln < hi:
-            hi = hi_base - ln
-        if hi < lo:
-            return None
-        if j1 == self.run_elem:
-            hi = lo
-        return lo, hi
 
     # -- suggestion -----------------------------------------------------------
 
@@ -288,19 +275,19 @@ class Hypothesis:
         site = self._repeat_site()
         if site is None:
             return None
-        _, j1, _, lo, cap, hi_base, mid_min, lo_rep, n_rep = site
+        _, j1, _, lo, hi_base, mid_min, lo_rep, n_rep = site
         t = self.consumed
         r_hi = t - lo_rep
-        if r_hi >= cap:
+        if hi_base is not None and r_hi >= hi_base - lo:
             # a region-buried first occurrence is only reasoned about while
             # the in-progress repeat could still fit the region entirely
             return None
         at_run = j1 == self.run_elem  # a first occurrence there starts at lo
         # the first window of length r + 1 is non-empty exactly for r up to
-        # here; its region bound, r <= hi_base - 1 - lo, follows from r < cap
+        # here; its region bound, r <= hi_base - 1 - lo, follows from r <= r_hi
         for r in range(min(r_hi, (t - mid_min - 1 - lo) // 2, bound), 0, -1):
             s2 = t - r
-            # the last start of `_first_window(site, s2, r + 1)`, plus r
+            # the last start of the first window of length r + 1, plus r
             end = lo + r if at_run else s2 - mid_min - 1
             if hi_base is not None and hi_base - 1 < end:
                 end = hi_base - 1
@@ -397,7 +384,8 @@ class SketchPool:
 
         Empty stretches must close an empty span; a single element has its
         content immediately implied (and must agree with any existing
-        assignment); longer stretches stay ambiguous regions.
+        assignment, or as a new one leave every region wide enough); longer
+        stretches stay ambiguous regions.
         """
         n = elem_hi - elem_lo + 1
         if n <= 0:
@@ -412,6 +400,8 @@ class SketchPool:
                     return False
             else:
                 child.assigned[lbl] = content
+                if not child._regions_fit(lbl, elem_lo):
+                    return False
             child.layout.append((elem_lo, elem_lo, pos_lo, pos_end))
             return True
         if pos_end - pos_lo < child._min_span(elem_lo, elem_hi + 1):
@@ -439,8 +429,8 @@ class SketchPool:
         site = parent._repeat_site()
         if site is None:
             return []
-        m, j1, rep, lo_first, cap, hi_base, mid_min, lo_rep, _ = site
-        if longest > cap or rep == parent.run_elem:
+        m, j1, rep, lo_first, hi_base, mid_min, lo_rep, _ = site
+        if (hi_base is not None and longest > hi_base - lo_first) or rep == parent.run_elem:
             # a repeat that opens the run (first occurrence in a closed
             # region) must start at run_pos0, but every s2 = t - ln lies past it
             return []
@@ -450,14 +440,14 @@ class SketchPool:
         at_run = j1 == parent.run_elem  # a first occurrence there starts at lo_first
         children: list[Hypothesis] = []
         # exactly these lengths have s2 = t - ln >= lo_rep and a first window;
-        # its region bound, ln <= hi_base - lo_first = cap, holds for ln <= longest
+        # its region bound, ln <= hi_base - lo_first, holds for ln <= longest
         top = min(longest, t - lo_rep, (t - mid_min - lo_first) // 2, bound)
         # longest candidate content first: most informative, most falsifiable
         for ln in range(top, 0, -1):
             if len(children) >= self.branch_cap:
                 break
             s2 = t - ln
-            # `_first_window(site, s2, ln)`
+            # the first window [lo, hi] of length ln
             lo = hi = lo_first
             if not at_run:
                 hi = s2 - mid_min - ln
@@ -494,7 +484,7 @@ class SketchPool:
         close = self._close_region
         if not (close(child, pb, elem_lo, j1 - 1, pos_lo, p)
                 and close(child, pb, j1 + 1, elem_hi, p + ln, pos_end)
-                and (rest is None or close(child, pb, *rest))):
+                and (rest is None or close(child, pb, *rest) and child._regions_fit(m, j1))):
             return None
         child.layout.append((j1, j1, p, p + ln))
         child.layout.append((rep, rep, s2, parent.consumed))

@@ -13,6 +13,12 @@ every active hypothesis on every call, the plan search's episode loop
 reads the plan through its properties and burns out with `rng.randrange`,
 the plan search runs that loop as one call per episode, and the piano and
 craft environments compute each observation from scratch.
+
+The hypothesis check measures every region against its elements' labels as
+assigned now, however late they got content. The claim and branching
+oracles read the first window and the region bound off the repeat site
+through their own `first_window` and `region_too_narrow`, where the
+library inlines that rule in its length loops.
 """
 
 from __future__ import annotations
@@ -285,6 +291,27 @@ def branch_child_two_cases(pool, parent, pb: bytes, m, j1, rep, p, ln, s2):
     return pool._adopt(child)
 
 
+def first_window(h, site, s2: int, ln: int):
+    """(lo, hi): where the first occurrence of `h`'s repeat site, of length
+    `ln` and repeated from `s2`, can start (None: nowhere). It ends before
+    the elements between the occurrences and, in a closed region, by the
+    region's end; one that opens the run starts where the run does."""
+    _, j1, _, lo, hi_base, mid_min, _, _ = site
+    hi = s2 - mid_min - ln
+    if hi_base is not None:
+        hi = min(hi, hi_base - ln)
+    if hi < lo:
+        return None
+    return (lo, lo) if j1 == h.run_elem else (lo, hi)
+
+
+def region_too_narrow(site, ln: int) -> bool:
+    """Whether a first occurrence buried in a closed region cannot hold
+    content of length `ln`; one in the open run always can."""
+    _, _, _, lo, hi_base, _, _, _ = site
+    return hi_base is not None and ln > hi_base - lo
+
+
 def branch_scan_every_match(pool, parent, pb: bytes) -> list[Hypothesis]:
     """Oracle for `SketchPool.branch`: builds a child for every match of the
     repeated content in its window, each on `branch_child_two_cases`, and
@@ -293,10 +320,10 @@ def branch_scan_every_match(pool, parent, pb: bytes) -> list[Hypothesis]:
     site = parent._repeat_site()
     if site is None:
         return []
-    m, j1, rep, _, cap, _, _, lo_rep, _ = site
+    m, j1, rep, _, _, _, lo_rep, _ = site
     t = parent.consumed
     longest = (t - parent.run_pos0) // 2
-    if longest > cap:
+    if region_too_narrow(site, longest):
         return []
     children: list[Hypothesis] = []
     # longest candidate content first: most informative, most falsifiable
@@ -306,7 +333,7 @@ def branch_scan_every_match(pool, parent, pb: bytes) -> list[Hypothesis]:
         s2 = t - ln
         if s2 < lo_rep:
             continue
-        window = parent._first_window(site, s2, ln)
+        window = first_window(parent, site, s2, ln)
         if window is None:
             continue
         content = pb[s2:t]
@@ -329,16 +356,16 @@ def optimistic_claim_every_r(h, pb: bytes):
     site = h._repeat_site()
     if site is None:
         return None
-    _, _, _, _, cap, _, mid_min, lo_rep, n_rep = site
+    _, _, _, _, _, mid_min, lo_rep, n_rep = site
     t = h.consumed
     r_hi = t - lo_rep
-    if r_hi >= cap:
+    if region_too_narrow(site, r_hi + 1):
         # a region-buried first occurrence is only reasoned about while
         # the in-progress repeat could still fit the region entirely
         return None
     for r in range(r_hi, 0, -1):
         s2 = t - r
-        window = h._first_window(site, s2, r + 1)
+        window = first_window(h, site, s2, r + 1)
         if window is None:
             continue
         p = pb.find(pb[s2:t], window[0], window[1] + r)

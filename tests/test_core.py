@@ -125,6 +125,12 @@ def test_demo_file_bad_inputs():
         write_demo_file(Demonstration(("a", "SKETCH")), 2)
 
 
+@pytest.mark.parametrize("n_actions", [0, -1, True, False, 2.0, "2", None])
+def test_write_demo_file_refuses_an_action_count_read_would_refuse(n_actions):
+    with pytest.raises(ValueError, match=re.escape(f"got {n_actions!r}")):
+        write_demo_file(Demonstration(("z1",)), n_actions)
+
+
 @pytest.mark.parametrize("text, n, line", [
     ("H=2 A=1\nSKETCH\nz\n", 2, "SKETCH"),  # a bare SKETCH is no observation
     ("H=2 A=1\nz\nSKETCH a\ny\n", 3, "SKETCH a"),

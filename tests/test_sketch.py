@@ -319,6 +319,45 @@ def test_a_region_too_short_for_its_elements_is_refused():
     assert all(is_consistent(h, plan) for h in pool.active + pool.frozen)
 
 
+def assert_consistent_after_every_confirmation(labels, plan, horizon, n_active):
+    pool = SketchPool(Sketch(tuple(labels)), horizon=horizon, n_active=n_active)
+    for t in range(1, len(plan) + 1):
+        pool.on_confirmed(plan[:t])
+        for h in pool.active + pool.frozen:
+            if h.consumed == t:
+                assert is_consistent(h, plan[:t]), (t, h.key())
+
+
+@pytest.mark.parametrize("labels, plan, horizon, n_active", [
+    # run_split's closed element b1 leaves the region over elements 1-2 at
+    # positions [1, 3) too short: a child frozen at t = 7
+    (("b0", "b1", "b1", "b0", "b1", "b0"), [1, 0, 0, 1, 0, 0, 1], 12, 3),
+    # a new assignment outgrows an earlier region of an active child at t = 11
+    (("b2", "b3", "b3", "b2", "b2", "b3", "b2", "b1"), [1, 0, 2, 0, 1, 1, 0, 1, 2, 2, 1], 20, 5),
+    (("b3", "b2", "b0", "b1", "b0", "b2", "b1", "b0"), [0, 2, 0, 0, 1, 2, 1, 0, 2, 2, 1], 20, 7),
+    # the label's first occurrence gets the content, and a later one lies in
+    # a region closed before the open run: t = 10
+    (("b3", "b4", "b2", "b3", "b1", "b2", "b3", "b0", "b4"),
+     [0, 0, 2, 2, 0, 1, 1, 0, 1, 0], 12, 4),
+    # the branch's main label also lies between its occurrences, in a region
+    # closed before: t = 14
+    (("b4", "b1", "b3", "b3", "b4", "b3", "b2", "b1", "b2", "b2", "b3"),
+     [2, 0, 0, 1, 0, 1, 2, 1, 0, 0, 1, 0, 0, 1], 20, 3),
+])
+def test_a_new_assignment_never_shrinks_an_earlier_region(labels, plan, horizon, n_active):
+    assert_consistent_after_every_confirmation(labels, plan, horizon, n_active)
+
+
+def test_hypotheses_stay_consistent_on_seeded_random_instances():
+    """A fixed sweep, so that every run tries the same 3,000 instances."""
+    rng = random.Random(7)
+    for _ in range(3000):
+        labels = [f"b{k}" for k in range(rng.randint(1, 4))]
+        sketch = [rng.choice(labels) for _ in range(rng.randint(2, 8))]
+        plan = [rng.randrange(3) for _ in range(rng.randint(1, 20))]
+        assert_consistent_after_every_confirmation(sketch, plan, 20, rng.randint(1, 8))
+
+
 def pool_keys(pool):
     return [h.key() for h in pool.active], [h.key() for h in pool.frozen]
 
@@ -496,7 +535,7 @@ def memos(h):
        st.sampled_from((4, 20)), st.integers(1, 4))
 @example(["b0", "b1", "b0", "b1"], [0, 1, 0, 1, 2, 0, 1, 0, 1, 2], 20, 4)
 @example(["b0", "b0", "b2", "b0"], [0, 0, 1], 20, 4)  # a run carries its next assigned element
-# a first occurrence in a closed region, whose site keeps its cap
+# a first occurrence in a closed region, whose site bounds it by the region's end
 @example(["b0", "b3", "b1", "b0", "b1"], [2, 1, 0, 2, 0, 0, 0, 1], 20, 3)
 # an assigned element that ends in an open run drops the site found inside it
 @example(["b0", "b3", "b3", "b3", "b2", "b2", "b2"], [2, 0, 2, 2, 2], 4, 3)
