@@ -13,15 +13,16 @@ envs=gem,island
 agents=bps,plots_sketch,plots_nosketch,bpsosa,rmax_plus,ucb_plus
 seeds=0-2
 """
+OUT_DIR = "demo_out"
 
 
 def main():
-    result = sweep(parse_sweep_spec(SPEC), out_dir="demo_out")
+    result = sweep(parse_sweep_spec(SPEC), out_dir=OUT_DIR)
     print(f"{'env':<8} {'agent':<16} {'episodes':>9} {'complete':>9}")
     for row in result.summary_rows:
         print(f"{row['env']:<8} {row['agent']:<16} {row['mean_episodes']:>9.1f} "
               f"{row['complete_rate']:>9.2f}")
-    print("\nartifacts in", result.out_dir)
+    print("\nartifacts in", OUT_DIR)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .baselines import OracleAlignedSuggester, rmax_learn, ucb_learn
-from .core import Demonstration, Task
+from .core import Demonstration, Env, Sketch, Task
 from .repeats import RepeatPoolSuggester
 from .search import LearnReport, UniformSuggester, learn
 from .sketch import SketchPoolSuggester
@@ -29,8 +29,6 @@ def _bps(task, demo, opts):
 
 
 def _plots_sketch(task, demo, opts):
-    if demo.sketch is None:
-        raise ConfigError(f"agent plots_sketch needs a sketch, env {task.name!r} has none")
     return SketchPoolSuggester(demo.sketch, demo.horizon,
                                n_active=opts.n_hypotheses, optimistic=opts.optimistic)
 
@@ -40,8 +38,6 @@ def _plots_nosketch(task, demo, opts):
 
 
 def _bpsosa(task, demo, opts):
-    if task.alignment is None or demo.sketch is None:
-        raise ConfigError(f"agent bpsosa needs an oracle alignment, env {task.name!r} has none")
     return OracleAlignedSuggester(task.alignment, demo.sketch)
 
 
@@ -64,6 +60,18 @@ BYTE_PLAN_AGENTS = ("plots_sketch", "plots_nosketch")
 BYTE_PLAN_MAX_ACTIONS = 256
 
 
+def check_fit(name: str, task: Task, sketch: Sketch | None, env: Env) -> None:
+    """A ConfigError unless agent `name` can run on `task`, whose demonstration
+    has `sketch` and whose environment is `env`."""
+    if name in BYTE_PLAN_AGENTS and env.n_actions > BYTE_PLAN_MAX_ACTIONS:
+        raise ConfigError(f"agent {name} takes at most {BYTE_PLAN_MAX_ACTIONS} actions, "
+                          f"env {task.name!r} has n_actions={env.n_actions}")
+    if name == "plots_sketch" and sketch is None:
+        raise ConfigError(f"agent plots_sketch needs a sketch, env {task.name!r} has none")
+    if name == "bpsosa" and (task.alignment is None or sketch is None):
+        raise ConfigError(f"agent bpsosa needs an oracle alignment, env {task.name!r} has none")
+
+
 def run_agent(name: str, task: Task, demo: Demonstration, seed: int,
               budget: int, cfg: dict | None = None) -> LearnReport:
     """One full learning run of the named agent on the task; `cfg` maps
@@ -74,10 +82,8 @@ def run_agent(name: str, task: Task, demo: Demonstration, seed: int,
         raise ConfigError(f"unknown agent options {unknown}; known: {sorted(known)}")
     opts = AgentOptions(**(cfg or {}))
     env = task.env()
+    check_fit(name, task, demo.sketch, env)
     if name in SUGGESTER_REGISTRY:
-        if name in BYTE_PLAN_AGENTS and env.n_actions > BYTE_PLAN_MAX_ACTIONS:
-            raise ConfigError(f"agent {name} takes at most {BYTE_PLAN_MAX_ACTIONS} actions, "
-                              f"env {task.name!r} has n_actions={env.n_actions}")
         suggester = SUGGESTER_REGISTRY[name](task, demo, opts)
         rng = random.Random(seed)
         return learn(env, demo, suggester, rng, budget)

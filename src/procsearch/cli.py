@@ -12,7 +12,6 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .agents import ConfigError
 from .core import write_demo_file
 from .envs import make_task
 from .harness import RunConfig, field_type, parse_sweep_spec, run, sweep
@@ -33,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
             pr.add_argument(f"--no-{name}", dest=f.name, action="store_false")
         else:
             pr.add_argument(f"--{name}", dest=f.name, type=kind, required=f.default is MISSING,
-                            default=f.default, help=f.metadata.get("help"))
+                            default=f.default)
+    pr.add_argument("--out", help="directory for the per-episode CSV")
 
     ps = sub.add_parser("sweep", help="run a grid of configs from a spec file")
     ps.add_argument("--spec", required=True)
@@ -52,6 +52,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
             record = run(config)
+            if args.out:
+                out_dir = Path(args.out)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                (out_dir / f"{config.label()}.csv").write_text(record.csv())
             print(f"env={config.env} agent={config.agent} seed={config.seed} "
                   f"episodes={record.episodes} episodes_run={len(record.rows)} "
                   f"steps={record.total_steps} "
@@ -59,10 +63,9 @@ def main(argv=None) -> int:
                   f"stop_reason={record.stop_reason}")
             return 0
         if args.command == "sweep":
-            spec_text = Path(args.spec).read_text()
-            configs = parse_sweep_spec(spec_text)
+            configs = parse_sweep_spec(Path(args.spec).read_text())
             result = sweep(configs, out_dir=args.out, jobs=args.jobs)
-            print(f"{len(result.records)} runs -> {result.out_dir}/summary.csv")
+            print(f"{len(result.records)} runs -> {Path(args.out)}/summary.csv")
             for row in result.summary_rows:
                 print(f"  {row['env']:<10} {row['agent']:<16} "
                       f"mean_episodes={row['mean_episodes']:.1f} "
@@ -74,9 +77,8 @@ def main(argv=None) -> int:
             Path(args.out).write_text(write_demo_file(demo, task.env().n_actions))
             print(f"wrote {args.out} (H={demo.horizon})")
             return 0
-    except (ConfigError, KeyError, OSError, ValueError) as e:
-        # str() of a KeyError is the repr of its key, quotes and all
-        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     return 2
 

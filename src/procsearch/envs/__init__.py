@@ -33,7 +33,7 @@ def make_task(name: str) -> Task:
     try:
         builder = ENV_REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown environment {name!r}; known: {sorted(ENV_REGISTRY)}") from None
+        raise ValueError(f"unknown environment {name!r}; known: {sorted(ENV_REGISTRY)}") from None
     return builder()
 
 

@@ -1,23 +1,22 @@
 """Experiment harness: seeded runs, sweeps, CSV emission, SVG curves.
 
-A run is fully determined by its config (env, agent, seed, flags): rerunning
-it produces byte-identical CSV output. Sweeps expand a line-oriented
-key=value spec into a config grid, run every cell, and aggregate per
-(env, agent) means into a summary CSV plus matched-fraction learning curves.
+A run is fully determined by its config (env, agent, seed, flags) and writes
+no file: rerunning it produces byte-identical CSV output. Sweeps expand a
+line-oriented key=value spec into a config grid, run every cell, and aggregate
+per (env, agent) means into a summary CSV plus matched-fraction learning curves.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields
 from itertools import groupby, product
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
-from .agents import AGENT_NAMES, AgentOptions, ConfigError, run_agent
+from .agents import AGENT_NAMES, AgentOptions, ConfigError, check_fit, run_agent
 from .envs import ENV_REGISTRY, make_task
-from .search import LearnReport
 
 CSV_HEADER = "episode,steps,matched,backtracks,done"
 CSV_ROW = "%d,%d,%d,%d,%d\n"  # one row tuple; %d prints `done` as 0 or 1
@@ -25,14 +24,13 @@ CSV_ROW = "%d,%d,%d,%d,%d\n"  # one row tuple; %d prints `done` as 0 or 1
 
 @dataclass(frozen=True)
 class RunConfig(AgentOptions):
-    """One seeded run. Every field is a flag of the `run` command and, apart
-    from `out`, a sweep-spec key; both front ends are generated from here."""
+    """One seeded run. Every field is a flag of the `run` command and a
+    sweep-spec key; both front ends are generated from here."""
 
     env: str
     agent: str
     seed: int
     max_episodes: int = 30000
-    out: str | None = field(default=None, metadata={"help": "directory for the per-episode CSV"})
 
     def validate(self) -> None:
         if self.env not in ENV_REGISTRY:
@@ -46,6 +44,8 @@ class RunConfig(AgentOptions):
             raise ConfigError("max_episodes must be >= 1")
         if self.n_hypotheses < 1:
             raise ConfigError("n_hypotheses must be >= 1")
+        task = make_task(self.env)
+        check_fit(self.agent, task, task.sketch, task.env())
 
     def label(self) -> str:
         return f"{self.env}_{self.agent}_s{self.seed}"
@@ -55,10 +55,9 @@ _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no":
 
 
 def field_type(f: Field) -> type:
-    """The value type of RunConfig field `f`, None dropped from an optional
-    type; a TypeError unless bool, int or str, which the front ends parse."""
+    """The value type of RunConfig field `f`; a TypeError unless bool, int
+    or str, which the front ends parse."""
     kind = get_type_hints(RunConfig)[f.name]
-    kind = next((k for k in get_args(kind) if k is not type(None)), kind)
     if kind not in (bool, int, str):
         raise TypeError(f"RunConfig field {f.name!r} has unsupported type {kind!r}")
     return kind
@@ -94,15 +93,9 @@ def run(config: RunConfig) -> RunRecord:
     task = make_task(config.env)
     demo = task.demo()
     options = {f.name: getattr(config, f.name) for f in fields(AgentOptions)}
-    report: LearnReport = run_agent(config.agent, task, demo, config.seed,
-                                    config.max_episodes, options)
-    record = RunRecord(config, demo.horizon, report.episodes, report.total_steps,
-                       report.backtracks, report.complete, report.rows, report.stop_reason)
-    if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{config.label()}.csv").write_text(record.csv())
-    return record
+    report = run_agent(config.agent, task, demo, config.seed, config.max_episodes, options)
+    return RunRecord(config, demo.horizon, report.episodes, report.total_steps,
+                     report.backtracks, report.complete, report.rows, report.stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +118,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 _AXES = ("env", "agent", "seed")  # comma lists, written singular or plural
-# `out` is not a key: sweep() puts every run's CSV in its own directory
-_SWEEP_OPTIONS = {f.name: f for f in fields(RunConfig) if f.name not in (*_AXES, "out")}
+_SWEEP_OPTIONS = {f.name: f for f in fields(RunConfig) if f.name not in _AXES}
 
 
 def parse_sweep_spec(text: str) -> list[RunConfig]:
@@ -182,7 +174,6 @@ def parse_sweep_spec(text: str) -> list[RunConfig]:
 class SweepResult:
     records: list[RunRecord]
     summary_rows: list[dict]
-    out_dir: Path | None = None
 
 
 def summarize(records: list[RunRecord]) -> list[dict]:
@@ -216,6 +207,8 @@ def summary_csv(rows: list[dict]) -> str:
 
 def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
           jobs: int = 1) -> SweepResult:
+    """Run every config, `jobs` at a time; once all have returned, write each
+    run's `<label>.csv`, `summary.csv` and the curves to `out_dir`, if given."""
     if not configs:
         raise ConfigError("sweep needs at least one run config")
     if jobs < 1:
@@ -231,7 +224,6 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
     out_path = Path(out_dir) if out_dir else None
     if out_path:
         out_path.mkdir(parents=True, exist_ok=True)
-        configs = [replace(c, out=str(out_path)) for c in configs]
     workers = min(jobs, len(configs))  # a Pool starts every worker up front
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
@@ -240,11 +232,13 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
         records = [run(c) for c in configs]
     rows = summarize(records)
     if out_path:
+        for r in records:
+            (out_path / f"{r.config.label()}.csv").write_text(r.csv())
         (out_path / "summary.csv").write_text(summary_csv(rows))
         for env in sorted({c.env for c in configs}):
             svg = learning_curves_svg([r for r in records if r.config.env == env])
             (out_path / f"curves_{env}.svg").write_text(svg)
-    return SweepResult(records, rows, out_path)
+    return SweepResult(records, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +250,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 
 def matched_fraction_curve(record: RunRecord) -> list[float]:
-    out = []
-    for _, _, matched, _, _ in record.rows:
-        out.append(matched / record.horizon)
-    return out
+    return [matched / record.horizon for _, _, matched, _, _ in record.rows]
 
 
 def _mean_curve(records: list[RunRecord]) -> list[float]:

@@ -139,20 +139,24 @@ class RepeatPoolSuggester(ActionSuggester):
 
     def __init__(self):
         self.store = RepeatStore()
-        # rankings[n]: the store's ranking after the plan's first n actions;
-        # the store is a function of the plan, so a backtrack cuts it back
-        self.rankings: list[list[Action]] = [[]]
+        # rankings[n]: the store's ranking after the plan's first n actions,
+        # None until a suggest needs it; the store is a function of the
+        # plan, so a backtrack cuts it back
+        self.rankings: list[list[Action] | None] = [[]]
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
         """Best-ranked repeat continuation outside `excluded`."""
-        for a in self.rankings[-1]:
+        ranking = self.rankings[-1]
+        if ranking is None:
+            ranking = self.rankings[-1] = self.store.suggest_ranked()
+        for a in ranking:
             if a not in excluded:
                 return a
         return None
 
     def on_confirmed(self, plan: PartialPlan) -> None:
         self.store.update(bytes(plan.confirmed))
-        self.rankings.append(self.store.suggest_ranked())
+        self.rankings.append(None)
 
     def on_backtrack(self, plan: PartialPlan, removed: Action, position: int) -> None:
         self.store.truncate(position)

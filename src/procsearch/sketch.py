@@ -95,9 +95,9 @@ class Hypothesis:
     `_next` memoise `_repeat_site`, `score` and `_next_assigned`. None of them
     reads `consumed`, the only thing an open run that absorbs an action
     changes, so `advance` keeps them there; a step inside an assigned
-    element drops the score, and `_enter` drops all three.
-    `_shell` copies hold no memo; `_copy` carries them, for the pool to
-    advance.
+    element drops the score, and `_enter` drops all three. The one copy,
+    `_copy`, carries them: a branch or run-split child changes its alignment
+    only through `_close_region`, which reads no memo, then calls `_enter`.
     """
 
     __slots__ = ("sketch", "assigned", "layout", "elem", "offset",
@@ -164,16 +164,11 @@ class Hypothesis:
         return (tuple(sorted(self.assigned.items())), tuple(self.layout),
                 self.elem, self.offset, self.run_elem, self.run_pos0, self.consumed)
 
-    def _shell(self) -> "Hypothesis":
+    def _copy(self) -> "Hypothesis":
         h = Hypothesis(self.sketch, dict(self.assigned), list(self.layout), self.consumed,
                        self.created)
         h.elem, h.offset = self.elem, self.offset
         h.run_elem, h.run_pos0 = self.run_elem, self.run_pos0
-        return h
-
-    def _copy(self) -> "Hypothesis":
-        """A `_shell` that carries the memos."""
-        h = self._shell()
         h._site, h._score, h._next = self._site, self._score, self._next
         return h
 
@@ -470,7 +465,7 @@ class SketchPool:
         return children
 
     def _make_branch_child(self, parent, pb, m, j1, rep, p, ln, s2):
-        child = parent._shell()
+        child = parent._copy()
         child.assigned[m] = tuple(pb[p:p + ln])
         # the open run up to the repeat is one more block: split it if it
         # holds j1, else split the closed region that does and close the run
@@ -506,7 +501,7 @@ class SketchPool:
             return None
         if pos - parent.run_pos0 < parent._min_span(parent.run_elem, j_next):
             return None
-        child = parent._shell()
+        child = parent._copy()
         if not self._close_region(child, pb, parent.run_elem, j_next - 1,
                                   parent.run_pos0, pos):
             return None

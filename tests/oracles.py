@@ -18,7 +18,9 @@ The hypothesis check measures every region against its elements' labels as
 assigned now, however late they got content. The claim and branching
 oracles read the first window and the region bound off the repeat site
 through their own `first_window` and `region_too_narrow`, where the
-library inlines that rule in its length loops.
+library inlines that rule in its length loops. The branching and selection
+oracles and the memo checks work on `fresh_copy`, a copy of a hypothesis
+that holds no memo, where the library's one copy carries them.
 """
 
 from __future__ import annotations
@@ -259,12 +261,20 @@ def exact_segments(h):
     return [(lo, a, b) for lo, hi, a, b in h.layout if lo == hi]
 
 
+def fresh_copy(h: Hypothesis) -> Hypothesis:
+    """A copy of `h` that holds no memo, so each one it reads is computed
+    afresh, where the library's `_copy` carries them."""
+    c = Hypothesis(h.sketch, dict(h.assigned), list(h.layout), h.consumed, h.created)
+    c.elem, c.offset, c.run_elem, c.run_pos0 = h.elem, h.offset, h.run_elem, h.run_pos0
+    return c
+
+
 def branch_child_two_cases(pool, parent, pb: bytes, m, j1, rep, p, ln, s2):
     """Oracle for `SketchPool._make_branch_child`: a first occurrence in the
     open run and one in a closed ambiguous region are built on separate
     paths, where the library splits either as one block."""
     close = pool._close_region
-    child = parent._shell()
+    child = fresh_copy(parent)
     child.assigned[m] = tuple(pb[p:p + ln])
     if j1 >= parent.run_elem:
         # first occurrence sits in the open run: close everything from the
@@ -390,7 +400,7 @@ def select_scan(pool, actions, excluded: set[Action]):
     pb = bytes(actions)
     bound = repeated_suffix_scan(pb)
     best = min(((pool._rank(h, got), h, got[0]) for h in pool.active
-                if (got := h._shell().proposal(pb, bound, pool.optimistic)) is not None
+                if (got := fresh_copy(h).proposal(pb, bound, pool.optimistic)) is not None
                 and got[0] not in excluded), default=None)
     return None if best is None else best[1:]
 

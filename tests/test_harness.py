@@ -33,10 +33,12 @@ def test_csv_shape_and_columns():
 
 
 def test_run_writes_csv_file(tmp_path):
-    cfg = RunConfig(env="chain", agent="bps", seed=3, out=str(tmp_path))
-    rec = run(cfg)
-    path = tmp_path / "chain_bps_s3.csv"
-    assert path.read_text() == rec.csv()
+    # the run command's own --out flag; harness.run writes no file
+    out_dir = tmp_path / "one"
+    assert cli.main(["run", "--env", "chain", "--agent", "bps", "--seed", "3",
+                     "--out", str(out_dir)]) == 0
+    assert [p.name for p in out_dir.iterdir()] == ["chain_bps_s3.csv"]
+    assert (out_dir / "chain_bps_s3.csv").read_text() == run(RunConfig("chain", "bps", 3)).csv()
 
 
 def test_unknown_names_rejected():
@@ -119,7 +121,9 @@ def test_parse_sweep_spec_names_a_block_without_envs_or_agents(spec, first):
     ("envs=nope\nagents=bps", "unknown environment 'nope'"),
     ("agents=bps\nenvs=chain\nseeds=-2", "seed must be >= 0, got -2"),
     ("max_episodes=0\nenvs=chain\nagents=bps", "max_episodes must be >= 1"),
-], ids=["env", "seed", "max-episodes"])
+    # refused before any run, not when the sweep reaches plots_sketch on chain
+    ("envs=chain\nagents=bps,plots_sketch", "agent plots_sketch needs a sketch, env 'chain' has none"),
+], ids=["env", "seed", "max-episodes", "agent-env-fit"])
 def test_parse_sweep_spec_names_the_block_of_a_bad_value(block, reason):
     first = block.split("\n")[0]
     with pytest.raises(ConfigError, match=re.escape(f"sweep block starting {first!r}: {reason}")):
@@ -135,7 +139,7 @@ def test_run_agent_rejects_unknown_options():
 
 def test_run_config_fields_and_their_flags(capsys):
     assert [f.name for f in fields(RunConfig)] == [
-        "n_hypotheses", "optimistic", "env", "agent", "seed", "max_episodes", "out"]
+        "n_hypotheses", "optimistic", "env", "agent", "seed", "max_episodes"]
     for flag in (["--early-reset"], ["--min-repeat-len", "3"], ["--optimistic"]):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["run", "--env", "chain", "--agent", "bps", "--seed", "0", *flag])
@@ -149,7 +153,8 @@ def test_every_run_config_field_round_trips_through_cli_and_sweep(monkeypatch):
     base = RunConfig("chain", "bps", 0)
     captured = []
     monkeypatch.setattr(cli, "run", lambda c: captured.append(c) or RunRecord(c, 1, 1, 1, 0, True))
-    registered = {"env": "gem", "agent": "plots_sketch"}  # a sweep spec validates its runs
+    # a sweep spec validates its runs: a registered agent that chain can serve
+    registered = {"env": "gem", "agent": "plots_nosketch"}
     for f in fields(RunConfig):
         old = getattr(base, f.name)
         kind = field_type(f)  # raises on a type neither front end can fill
@@ -164,8 +169,6 @@ def test_every_run_config_field_round_trips_through_cli_and_sweep(monkeypatch):
             args += [f"--{name}", str(new)]  # a repeated flag overrides the earlier one
         assert cli.main(args) == 0
         assert captured.pop() == want, f.name
-        if f.name == "out":  # sweep() sets it from its own output directory
-            continue
         spec = {"env": "chain", "agent": "bps", "seed": "0", f.name: str(new)}
         (got,) = parse_sweep_spec("".join(f"{k}={v}\n" for k, v in spec.items()))
         assert got == want, f.name
@@ -193,6 +196,30 @@ def test_summary_matches_recomputation_from_csvs(tmp_path):
         episode_counts.append(len(rows))
     mean = sum(episode_counts) / len(episode_counts)
     assert result.summary_rows[0]["mean_episodes"] == pytest.approx(mean)
+
+
+def test_sweep_records_do_not_depend_on_its_output_directory(tmp_path):
+    configs = parse_sweep_spec("envs=chain\nagents=bps,plots_nosketch\nseeds=0-1\n")
+    records = sweep(configs).records
+    assert sweep(configs, out_dir=tmp_path / "a").records == records
+    assert sweep(configs, out_dir=tmp_path / "b").records == records
+
+
+def test_a_failed_sweep_writes_no_file(tmp_path, monkeypatch):
+    calls = []
+
+    def second_run_raises(*args):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise RuntimeError("the second run fails")
+        return run_agent(*args)
+
+    monkeypatch.setattr(harness, "run_agent", second_run_raises)
+    configs = parse_sweep_spec("envs=chain\nagents=bps\nseeds=0-2\n")
+    with pytest.raises(RuntimeError, match="the second run fails"):
+        sweep(configs, out_dir=tmp_path / "out", jobs=1)
+    assert len(calls) == 2
+    assert list((tmp_path / "out").iterdir()) == []  # created before the runs, left empty
 
 
 def test_sweep_rejects_runs_that_share_a_label(tmp_path):

@@ -212,6 +212,7 @@ def test_suggest_after_a_backtrack_does_not_rank_again(make, ranker, monkeypatch
     for a in (E, E, F, E, E, E):
         plan.confirm(a)
         sug.on_confirmed(plan)
+        sug.suggest(plan, set())  # as the episode loop does at the next position
     backtrack(plan, sug)
     owner, name = ranker
     ranks = []
@@ -229,3 +230,22 @@ def test_suggest_after_a_backtrack_does_not_rank_again(make, ranker, monkeypatch
         fresh.on_confirmed(SimpleNamespace(confirmed=plan.confirmed[:t]))
     assert got == [fresh.suggest(plan, excluded) for excluded in EXCLUDED_SETS]
     assert got[0] is not None
+
+
+def test_confirming_a_plan_without_a_suggest_ranks_nothing(monkeypatch):
+    """The repeat suggester ranks a plan state only when a suggest reads it,
+    so the confirmation that completes a plan ranks nothing."""
+    ranks = []
+    original = RepeatStore.suggest_ranked
+    monkeypatch.setattr(RepeatStore, "suggest_ranked",
+                        lambda store: ranks.append(store.plan) or original(store))
+    sug = RepeatPoolSuggester()
+    plan = PartialPlan(3)
+    for a in (E, E, F, E, E, E):
+        plan.confirm(a)
+        sug.on_confirmed(plan)
+    assert ranks == []
+    got = sug.suggest(plan, set())
+    assert ranks == [bytes(plan.confirmed)]  # the first suggest ranks the whole plan
+    monkeypatch.undo()
+    assert got == fed_store(bytes(plan.confirmed)).suggest_ranked()[0]

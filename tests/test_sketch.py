@@ -11,8 +11,8 @@ from procsearch.envs.scripted import ScriptedEnv
 from procsearch.search import UniformSuggester, learn
 from procsearch.sketch import Hypothesis, SketchPool, SketchPoolSuggester, repeated_suffix
 from tests.oracles import (
-    branch_scan_every_match, exact_segments, is_consistent, optimistic_claim_every_r,
-    repeated_suffix_scan, select_scan,
+    branch_scan_every_match, exact_segments, fresh_copy, is_consistent,
+    optimistic_claim_every_r, repeated_suffix_scan, select_scan,
 )
 
 E, F, G, H_ACT, I_ACT = 0, 1, 2, 3, 4
@@ -504,7 +504,7 @@ def test_branch_matches_the_scan_every_match_oracle(labels, plan, horizon, n_act
             # empty or longer than the repeated suffix
             assert parent.optimistic_claim(pb, bound) == optimistic_claim_every_r(parent, pb)
             # the memoised site is the one a fresh copy computes
-            assert parent._repeat_site() == parent._shell()._repeat_site()
+            assert parent._repeat_site() == fresh_copy(parent)._repeat_site()
 
 
 @settings(max_examples=200, deadline=None)
@@ -549,5 +549,5 @@ def test_carried_memos_match_a_fresh_copy(labels, ops, horizon, n_active):
         elif plan:
             plan.pop()
             pool.rebuild(len(plan))
-        for h in pool.active:
-            assert memos(h) == memos(h._shell())
+        for h in pool.active + pool.frozen:
+            assert memos(h) == memos(fresh_copy(h))
