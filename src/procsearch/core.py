@@ -2,7 +2,8 @@
 
 Environments here are deterministic state machines with a fixed discrete
 action set, defined by a start state and a transition function over hashable
-latent states that `Env` memoises. Observations are opaque string tokens
+latent states that `Env` memoises; every env that one `Task` makes shares
+the task's memo. Observations are opaque string tokens
 compared only by equality; two distinct latent states may emit the same token
 (perceptual aliasing), which is what makes the search problem interesting.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 Action = int
 Obs = str  # interned token; compare with ==, never parse
@@ -25,6 +26,18 @@ class ContractViolation(ValueError):
     """An agent called an environment outside its contract."""
 
 
+class Memo(dict):
+    """An env memo: latent state -> row. The rows link to each other (a sink
+    or a no-op step loops to itself), so the memo clears them when it is
+    released and leaves no cycle to the cyclic garbage collector."""
+
+    __slots__ = ()
+
+    def __del__(self):
+        for row in self.values():
+            row.clear()
+
+
 class Env:
     """Deterministic, possibly partially observable environment.
 
@@ -35,8 +48,9 @@ class Env:
     action, filled by `_fill` from `_transition` on first use, and the state
     in slot `n_actions`. `_row`, the current state's row, is None until the
     first reset that succeeds. Replaying an action sequence from reset
-    yields the same tokens. The rows are per instance and link to each
-    other, so they are cleared when the env is released.
+    yields the same tokens. The rows live in `_rows`, a `Memo`: an env
+    built alone has its own, and `Task.env` points every env of a task at
+    the task's, while each env keeps its own `_row`.
 
     `run(actions)` steps through a batch with the checks made once for the
     whole batch, and `burn(rng, m)` takes `m` steps with actions drawn as
@@ -49,11 +63,7 @@ class Env:
 
     def __init__(self):
         self._row = None  # the current state's row, from the first reset
-        self._rows: dict = {}  # state -> row
-
-    def __del__(self):
-        for row in self._rows.values():
-            row.clear()
+        self._rows = Memo()
 
     def reset(self) -> Obs:
         state, tok = self._start()
@@ -286,6 +296,9 @@ class Task:
     The solution and alignment are generator-side knowledge: agents never see
     them, except for the oracle-alignment baseline which is given `alignment`
     (per-sketch-element [start, end) spans into the demonstration).
+
+    `make_env` must build the same dynamics on every call: the envs that
+    `env` hands out, and the one `demo` records on, share the task's memo.
     """
 
     name: str
@@ -293,12 +306,16 @@ class Task:
     solution: tuple[Action, ...]
     sketch: Sketch | None = None
     alignment: tuple[tuple[int, int], ...] | None = None
+    _memo: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
     def env(self) -> Env:
-        return self.make_env()
+        """An unreset env from `make_env` that walks the task's memo."""
+        env = self.make_env()
+        env._rows, env._row = self._memo, None
+        return env
 
     def demo(self) -> Demonstration:
-        return record_demonstration(self.make_env(), self.solution, self.sketch)
+        return record_demonstration(self.env(), self.solution, self.sketch)
 
 
 def segments_to_task(name: str, make_env, segments) -> Task:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from ..core import Task
 from .scripted import ScriptedEnv, AutomatonEnv, make_chain, make_markov_scripted
 from .craft import GridCraftEnv, make_island_task, make_gem_task
@@ -29,7 +31,10 @@ ENV_REGISTRY = {
 }
 
 
+@functools.cache
 def make_task(name: str) -> Task:
+    """The registered task `name`: one per name per process, so that every
+    run of it steps through the one transition memo."""
     try:
         builder = ENV_REGISTRY[name]
     except KeyError:

@@ -6,8 +6,10 @@ Map legend: `#` wall, `~` water, `W` wood, `G` gem, `K` workshop, `I` island,
 (position, inventory, grid), so equal tokens imply equal latent state and
 the observation space is Markov. The latent state is an immutable tuple of
 the agent's cell, the sorted (item, count) pairs held and the map's rows as
-strings, so the env's memo serializes each (state, action) once; `pos`,
-`inventory` and `grid` are read-only views of it.
+strings, so the task's memo, which every env of the task shares, serializes
+each (state, action) once, and the serialization is interned so the memo
+keeps one copy of each state's token; `pos`, `inventory` and `grid` are
+read-only views of the state.
 
 Two shipped tasks: Island (collect three woods, craft planks, raft across to
 the island; repeated subtask structure) and Gem (short errand with no
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from types import MappingProxyType
 
-from ..core import Action, Env, Obs, Task, segments_to_task
+from ..core import Action, Env, Obs, Task, intern_token, segments_to_task
 
 UP, DOWN, LEFT, RIGHT, USE = range(5)
 ACTION_NAMES = ("up", "down", "left", "right", "use")
@@ -144,7 +146,7 @@ class GridCraftEnv(Env):
         """The serialization of `state`."""
         (r, c), inv, rows = state
         items = "+".join(f"{k}:{v}" for k, v in inv) or "-"
-        return f"{r},{c}|{items}|{'/'.join(rows)}"
+        return intern_token(f"{r},{c}|{items}|{'/'.join(rows)}")
 
 
 ISLAND_MAP = """\

@@ -12,8 +12,8 @@ The shipped task plays a 64-note piece assembled from five melodic figures,
 several of which repeat back to back.
 
 The latent state is the hand: the 24 x 4 (wrist, thumb) positions are
-numbered, so the env's memo holds at most 96 rows, and every token it emits
-is interned.
+numbered, so the memo that every env of the task shares holds at most 96
+rows, and every token it emits is interned.
 """
 
 from __future__ import annotations

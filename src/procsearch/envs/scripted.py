@@ -3,7 +3,8 @@
 ScriptedEnv realizes the minimal deterministic environment: one true action
 sequence, one token per on-script prefix (a fresh one unless given), and an
 absorbing "OFF" sink once the agent deviates. Its latent state is the number
-of script actions taken, or -1 for OFF, so its memo holds at most H + 2 rows.
+of script actions taken, or -1 for OFF, so its memo, which every env of a
+task shares, holds at most H + 2 rows.
 
 AutomatonEnv is an explicit deterministic finite automaton over latent
 states. It can express richer aliasing traps than repeated tokens: a wrong

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, replace
 from itertools import groupby, product
 from pathlib import Path
 from typing import get_type_hints
 
-from .agents import AGENT_NAMES, AgentOptions, ConfigError, check_fit, run_agent
+from .agents import AGENT_NAMES, MODEL_REGISTRY, AgentOptions, ConfigError, check_fit, run_agent
 from .envs import ENV_REGISTRY, make_task
 
 CSV_HEADER = "episode,steps,matched,backtracks,done"
@@ -208,7 +208,9 @@ def summary_csv(rows: list[dict]) -> str:
 def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
           jobs: int = 1) -> SweepResult:
     """Run every config, `jobs` at a time; once all have returned, write each
-    run's `<label>.csv`, `summary.csv` and the curves to `out_dir`, if given."""
+    run's `<label>.csv`, `summary.csv` and the curves to `out_dir`, if given.
+    A tabular agent's configs that differ only in the seed run once and
+    share that run's record."""
     if not configs:
         raise ConfigError("sweep needs at least one run config")
     if jobs < 1:
@@ -224,12 +226,19 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
     out_path = Path(out_dir) if out_dir else None
     if out_path:
         out_path.mkdir(parents=True, exist_ok=True)
-    workers = min(jobs, len(configs))  # a Pool starts every worker up front
+    # a tabular agent ignores the seed, so one run serves every seed of its cell
+    cell = lambda c: replace(c, seed=0) if c.agent in MODEL_REGISTRY else c
+    firsts: dict[RunConfig, RunConfig] = {}
+    for c in configs:
+        firsts.setdefault(cell(c), c)
+    workers = min(jobs, len(firsts))  # a Pool starts every worker up front
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            records = pool.map(run, configs)
+            ran = pool.map(run, firsts.values())
     else:
-        records = [run(c) for c in configs]
+        ran = [run(c) for c in firsts.values()]
+    done = dict(zip(firsts, ran))
+    records = [replace(done[cell(c)], config=c) for c in configs]
     rows = summarize(records)
     if out_path:
         for r in records:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from procsearch.envs.craft import (
-    ACTION_NAMES, DOWN, GEM_MAP, ISLAND_MAP, MapError, UP, USE, GridCraftEnv,
+    ACTION_NAMES, DOWN, GEM_MAP, ISLAND_MAP, RIGHT, MapError, UP, USE, GridCraftEnv,
     make_gem_task, make_island_task,
 )
 from tests.oracles import craft_token
@@ -165,3 +165,14 @@ def test_cached_tail_matches_a_fresh_serialization(map_text):
             assert tok in (want, f"{want}|no:{ACTION_NAMES[a]}")
             changes += before != (dict(env.inventory), env.grid)
     assert changes > 0
+
+
+def test_moves_into_one_state_return_one_token_object():
+    # the task's memo keeps every token it is given; interned, one per state
+    env = GridCraftEnv("...\n.@.\n...")
+    env.reset()
+    right = env.step(RIGHT)
+    env.reset()
+    for a in (UP, RIGHT):
+        env.step(a)
+    assert env.step(DOWN) is right

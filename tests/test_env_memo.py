@@ -5,11 +5,13 @@ lookup, so these properties run every env long enough for the memo to be
 warm and check each token against a rule that reads no memo, and against a
 fresh instance whose memo is cold, and count that `_transition` runs once
 per (state, action). `Env.run` walks the same rows for a batch, so it is
-checked against a loop of `step`.
+checked against a loop of `step`. Every env that one `Task` makes walks the
+task's memo, so the same properties are checked across the envs of a task.
 """
 
 import gc
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -111,6 +113,17 @@ def test_warm_memo_keeps_the_step_contract(name):
     assert fresh.state == fresh._start()[0]
 
 
+def drive(env, rng, episodes):
+    """Reset `env` and walk it by `step`, `run` and `burn` for `episodes`."""
+    n = env.n_actions
+    for _ in range(episodes):
+        env.reset()
+        for a in [rng.randrange(n) for _ in range(rng.randrange(1, 20))]:
+            env.step(a)
+        env.run([rng.randrange(n) for _ in range(rng.randrange(20))])
+        env.burn(rng, rng.randrange(20))
+
+
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_memo_runs_each_transition_once(name):
     # a memo that stored nothing would give the same tokens, only slower
@@ -122,13 +135,7 @@ def test_memo_runs_each_transition_once(name):
         return transition(state, a)
 
     env._transition = counted
-    n = env.n_actions
-    for _ in range(60):
-        env.reset()
-        for a in [rng.randrange(n) for _ in range(rng.randrange(1, 20))]:
-            env.step(a)
-        env.run([rng.randrange(n) for _ in range(rng.randrange(20))])
-        env.burn(rng, rng.randrange(20))
+    drive(env, rng, 60)
     assert calls and set(calls.values()) == {1}
 
 
@@ -314,3 +321,55 @@ def test_run_steps_through_any_iterable_once(factory, wrap):
     assert env.state == plain.state
     with pytest.raises(ContractViolation, match="invalid action id"):
         env.run(wrap([1, N_KEYS * 9]))
+
+
+@pytest.mark.parametrize("name", sorted(ENV_REGISTRY))
+def test_one_task_runs_each_transition_once_across_its_envs(name):
+    task, rng = ENV_REGISTRY[name](), random.Random(name)  # a task with a cold memo
+    cls = type(task.make_env())
+    with mock.patch.object(cls, "_transition", autospec=True,
+                           side_effect=cls._transition) as counted:
+        task.demo()
+        for _ in range(4):
+            drive(task.env(), rng, 15)
+    calls = Counter((state, a) for _, state, a in (c.args for c in counted.call_args_list))
+    assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("name", sorted(ENV_REGISTRY))
+def test_envs_of_one_task_stepped_interleaved_match_envs_with_their_own_memos(name):
+    task, rng = ENV_REGISTRY[name](), random.Random(name)
+    shared, own = [task.env(), task.env()], [task.make_env(), task.make_env()]
+    n = shared[0].n_actions
+    for _ in range(40):
+        for env, alone in zip(shared, own):
+            assert env.reset() == alone.reset()
+        for _ in range(rng.randrange(1, 60)):
+            k, a = rng.randrange(2), rng.randrange(n)
+            assert shared[k].step(a) == own[k].step(a)
+        assert [env.state for env in shared] == [alone.state for alone in own]
+
+
+@pytest.mark.parametrize("name", ["chain", "cpr", "piano", "island"])
+def test_released_task_leaves_no_cycles(name):
+    # the task's envs are released first, so the memo goes with the task
+    rng = random.Random(0)
+    gc.collect()
+    gc.disable()
+    try:
+        task = ENV_REGISTRY[name]()
+        task.demo()
+        for _ in range(3):
+            drive(task.env(), rng, 10)
+        del task
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_make_task_hands_out_one_task_per_name():
+    for name in ENV_REGISTRY:
+        assert make_task(name) is make_task(name)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown environment 'nope'"):
+            make_task("nope")

@@ -4,7 +4,8 @@ from dataclasses import fields, replace
 import pytest
 
 from procsearch import cli, harness
-from procsearch.agents import ConfigError, run_agent
+from procsearch.agents import MODEL_REGISTRY, ConfigError, run_agent
+from procsearch.baselines import rmax_learn
 from procsearch.core import Sketch, Task
 from procsearch.envs import make_task
 from procsearch.envs.scripted import ScriptedEnv
@@ -222,6 +223,29 @@ def test_a_failed_sweep_writes_no_file(tmp_path, monkeypatch):
     assert list((tmp_path / "out").iterdir()) == []  # created before the runs, left empty
 
 
+@pytest.mark.parametrize("agent", sorted(MODEL_REGISTRY))
+def test_tabular_report_is_the_same_for_every_seed(agent):
+    three, five = (run(RunConfig(env="gem", agent=agent, seed=s)) for s in (3, 5))
+    assert replace(three, config=five.config) == five
+
+
+def test_sweep_runs_a_tabular_agent_once_for_all_its_seeds(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rmax_learn(*args)
+
+    monkeypatch.setitem(MODEL_REGISTRY, "rmax_plus", counted)
+    result = sweep(parse_sweep_spec("envs=gem\nagents=rmax_plus\nseeds=3,5\n"), out_dir=tmp_path)
+    assert len(calls) == 1
+    assert [r.config.seed for r in result.records] == [3, 5]
+    csvs = sorted(tmp_path.glob("gem_*.csv"))
+    assert [p.name for p in csvs] == ["gem_rmax_plus_s3.csv", "gem_rmax_plus_s5.csv"]
+    want = run(RunConfig(env="gem", agent="rmax_plus", seed=5)).csv()
+    assert [p.read_text() for p in csvs] == [want, want]
+
+
 def test_sweep_rejects_runs_that_share_a_label(tmp_path):
     # the label leaves n_hypotheses out, so both runs would write one CSV
     spec = ("envs=gem\nagents=plots_sketch\nn_hypotheses=1\n\n"
@@ -266,8 +290,12 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert summary_csv(serial.summary_rows) == summary_csv(parallel.summary_rows)
 
 
-@pytest.mark.parametrize("n_configs", [1, 2])
-def test_sweep_starts_no_more_workers_than_runs(monkeypatch, n_configs):
+@pytest.mark.parametrize("agent, n_configs, workers", [
+    pytest.param("bps", 1, [], id="1"), pytest.param("bps", 2, [2], id="2"),
+    # seed-blind: one run serves both seeds
+    pytest.param("rmax_plus", 2, [], id="rmax_plus-2"),
+])
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch, agent, n_configs, workers):
     asked = []
 
     class FakePool:  # records its worker count and maps serially
@@ -284,9 +312,9 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch, n_configs):
             return [fn(x) for x in items]
 
     monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
-    configs = parse_sweep_spec(f"envs=chain\nagents=bps\nseeds=0-{n_configs - 1}\n")
+    configs = parse_sweep_spec(f"envs=chain\nagents={agent}\nseeds=0-{n_configs - 1}\n")
     records = sweep(configs, jobs=8).records
-    assert asked == ([] if n_configs == 1 else [n_configs])
+    assert asked == workers
     assert records == sweep(configs).records
 
 
