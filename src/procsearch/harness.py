@@ -90,6 +90,11 @@ class RunRecord:
 
 def run(config: RunConfig) -> RunRecord:
     config.validate()
+    return _run(config)
+
+
+def _run(config: RunConfig) -> RunRecord:
+    """`run` of a config that has passed `validate`."""
     task = make_task(config.env)
     demo = task.demo()
     options = {f.name: getattr(config, f.name) for f in fields(AgentOptions)}
@@ -234,9 +239,9 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
     workers = min(jobs, len(firsts))  # a Pool starts every worker up front
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            ran = pool.map(run, firsts.values())
+            ran = pool.map(_run, firsts.values())
     else:
-        ran = [run(c) for c in firsts.values()]
+        ran = [_run(c) for c in firsts.values()]
     done = dict(zip(firsts, ran))
     records = [replace(done[cell(c)], config=c) for c in configs]
     rows = summarize(records)

@@ -111,7 +111,7 @@ def test_craft_determinism_fuzz():
     rng = random.Random(0)
     for _ in range(200):
         seq = [rng.randrange(5) for _ in range(20)]
-        a_env, b_env = task.env(), task.env()
+        a_env, b_env = task.env(), task.make_env()  # the task's memo, and a memo of b's own
         a_env.reset(), b_env.reset()
         assert [a_env.step(a) for a in seq] == [b_env.step(a) for a in seq]
 

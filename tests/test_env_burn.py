@@ -1,10 +1,13 @@
 """`Env.burn` against a loop of `step(rng.randrange(n))`.
 
 The episode loop burns out through `burn`, so every golden CSV depends on it
-drawing exactly what `randrange` draws. `tests/burn_check.py` runs the same
-comparison over a fixed grid with the standard library alone.
+drawing exactly what `randrange` draws. `burn` copies the running
+interpreter's `randrange`, so the comparison runs on every interpreter the
+tests run on: over a fixed grid of action counts, burn lengths, seeds and
+memo temperatures, and over random cases drawn by Hypothesis.
 """
 
+import itertools
 import random
 from unittest import mock
 
@@ -13,7 +16,25 @@ from hypothesis import example, given, settings, strategies as st
 
 from procsearch.core import ContractViolation, Env
 from procsearch.envs.piano import PianoEnv
-from tests.burn_check import Trail, burn_matches_randrange, main
+
+MODULUS = 1_000_003  # a prime, for the trail hash
+
+
+class Trail(Env):
+    """`n` actions; the state hashes the actions taken since the reset, so
+    two walks end in the same state only if they took the same actions
+    (barring a collision modulo MODULUS)."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n_actions = n
+
+    def _start(self):
+        return 0, "s"
+
+    def _transition(self, state, a):
+        state = (state * (self.n_actions + 1) + a + 1) % MODULUS
+        return state, "t" if state % 2 else "u"
 
 
 class LoggedTrail(Trail):
@@ -29,6 +50,33 @@ class LoggedTrail(Trail):
 
 
 ACTION_COUNTS = st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32]), st.integers(1, 40))
+
+
+def burn_matches_randrange(n: int, m: int, seed: int, warm: bool, make=Trail) -> None:
+    """Raise AssertionError unless `burn(rng, m)` on `make(n)` ends where `m`
+    steps of `rng.randrange(n)` do, with the same rng state afterwards; with
+    `warm`, the burn reads only rows that the same walk already filled."""
+    want, got = make(n), make(n)
+    want.reset()
+    rng = random.Random(seed)
+    for _ in range(m):
+        want.step(rng.randrange(n))
+    got.reset()
+    if warm:
+        walk = random.Random(seed)
+        for _ in range(m):
+            got.step(walk.randrange(n))
+        got.reset()
+    drawn = random.Random(seed)
+    got.burn(drawn, m)
+    assert got.state == want.state, (n, m, seed, warm, got.state, want.state)
+    assert drawn.getstate() == rng.getstate(), (n, m, seed, warm)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_burn_matches_randrange_over_the_fixed_grid(n):
+    for m, seed, warm in itertools.product((0, 1, 2, 3, 7, 31, 64, 200), (0, 1, 2), (False, True)):
+        burn_matches_randrange(n, m, seed, warm)
 
 
 @settings(max_examples=300, deadline=None)
@@ -48,10 +96,6 @@ def test_burn_through_an_overriding_step_sees_every_draw(n, m, seed, warm):
     env.burn(rng, m)
     want = random.Random(seed)
     assert env.log == [want.randrange(n) for _ in range(m)]
-
-
-def test_the_plain_script_grid_passes():
-    assert main(lengths=(0, 1, 50), seeds=(0,)) == 40 * 3 * 2
 
 
 def test_burn_before_reset_raises_and_draws_nothing():

@@ -14,7 +14,7 @@ def test_determinism_under_random_sequence_fuzzing(name):
     n = task.env().n_actions
     for _ in range(1000):
         seq = [rng.randrange(n) for _ in range(rng.randrange(1, 12))]
-        a, b = task.env(), task.env()
+        a, b = task.env(), task.make_env()  # the task's memo, and a memo of b's own
         assert a.reset() == b.reset()
         assert [a.step(x) for x in seq] == [b.step(x) for x in seq]
 

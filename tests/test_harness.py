@@ -246,6 +246,22 @@ def test_sweep_runs_a_tabular_agent_once_for_all_its_seeds(tmp_path, monkeypatch
     assert [p.read_text() for p in csvs] == [want, want]
 
 
+def test_sweep_validates_each_config_once_and_run_validates_its_own(monkeypatch):
+    configs = parse_sweep_spec("envs=chain\nagents=bps,rmax_plus\nseeds=0-2\n")
+    validated, validate = [], RunConfig.validate
+
+    def counted(config):
+        validated.append(config)
+        validate(config)
+
+    monkeypatch.setattr(RunConfig, "validate", counted)
+    sweep(configs)
+    assert validated == configs
+    validated.clear()
+    run(configs[0])
+    assert validated == [configs[0]]
+
+
 def test_sweep_rejects_runs_that_share_a_label(tmp_path):
     # the label leaves n_hypotheses out, so both runs would write one CSV
     spec = ("envs=gem\nagents=plots_sketch\nn_hypotheses=1\n\n"

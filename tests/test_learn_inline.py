@@ -1,25 +1,75 @@
 """`learn` runs each episode inline, through `Env.run` and `Env.burn`'s walk
 of the memo rows, unless `search.run_episode` is patched; then it calls the
 patch once per episode. Both paths are checked against the per-episode
-reference loop in tests/oracles.py on envs that keep `Env.step` as it is."""
+reference loop in tests/oracles.py on envs that keep `Env.step` as it is,
+and against each other on random tasks and over a fixed grid of automata."""
 
 import itertools
 import random
+import sys
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from procsearch import search
-from procsearch.core import Demonstration, Sketch, record_demonstration
+from procsearch.core import Demonstration, Sketch, intern_token, record_demonstration
 from procsearch.envs.scripted import ScriptedEnv, random_aliased_env
 from procsearch.repeats import RepeatPoolSuggester
-from procsearch.search import LearnReport, UniformSuggester, UnsatisfiableDemo, learn, run_episode
+from procsearch.search import (
+    ActionSuggester, LearnReport, UniformSuggester, UnsatisfiableDemo, learn, run_episode,
+)
 from procsearch.sketch import SketchPoolSuggester
-from tests.learn_check import UNEMITTED, HookLog, calls_into
 from tests.oracles import learn_per_episode
 from tests.test_search import MixedSuggester
 
 CAP = 300  # the budget of the full run, which bounds the budgets drawn
+UNEMITTED = intern_token("never-emitted")
+
+
+class HookLog(ActionSuggester):
+    """Passes each call on to `inner` and logs it with the plan as the call
+    found it: the confirmed prefix and every ledger."""
+
+    def __init__(self, inner: ActionSuggester):
+        self.inner, self.log = inner, []
+
+    def _note(self, hook: str, plan, *args) -> None:
+        self.log.append((hook, tuple(plan.confirmed), [sorted(r) for r in plan.ruled_out], args))
+
+    def suggest(self, plan, excluded):
+        a = self.inner.suggest(plan, excluded)
+        self._note("suggest", plan, a)
+        return a
+
+    def on_confirmed(self, plan):
+        self._note("on_confirmed", plan)
+        self.inner.on_confirmed(plan)
+
+    def on_failed(self, plan, a):
+        self._note("on_failed", plan, a)
+        self.inner.on_failed(plan, a)
+
+    def on_backtrack(self, plan, removed, position):
+        self._note("on_backtrack", plan, removed, position)
+        self.inner.on_backtrack(plan, removed, position)
+
+
+def calls_into(code, fn, *args):
+    """`fn(*args)` and the number of calls it made into `code`."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        return fn(*args), calls
+    finally:
+        sys.setprofile(saved)
 
 
 @st.composite
@@ -95,12 +145,11 @@ def test_inline_episodes_on_memo_envs_match_the_per_episode_oracle(task, seed, d
     assert outcome(learn, task, seed, budget) == outcome(learn_per_episode, task, seed, budget)
 
 
-@settings(max_examples=60, deadline=None)
-@given(memo_tasks(), st.integers(0, 2**32))
-def test_a_patched_run_episode_is_called_once_per_episode(task, seed):
-    """With `search.run_episode` wrapped by a counter, `learn` calls it once
-    per episode and ends as an unpatched run does; unpatched, `learn` never
-    calls it."""
+def patched_run_episode_is_called_once_per_episode(task, seed: int, budget: int):
+    """Assert that with `search.run_episode` wrapped by a counter, `learn`
+    calls it once per episode and ends as an unpatched run does, and that
+    unpatched, `learn` never calls it; return the run's report or
+    UnsatisfiableDemo."""
     calls = 0
 
     def counted(*args):
@@ -109,9 +158,43 @@ def test_a_patched_run_episode_is_called_once_per_episode(task, seed):
         return run_episode(*args)
 
     with mock.patch.object(search, "run_episode", counted):
-        patched = outcome(learn, task, seed, CAP)
-    unpatched, unpatched_calls = calls_into(run_episode.__code__, outcome, learn, task, seed, CAP)
+        patched = outcome(learn, task, seed, budget)
+    unpatched, unpatched_calls = calls_into(run_episode.__code__, outcome, learn, task, seed, budget)
     assert patched == unpatched
     assert unpatched_calls == 0
     if isinstance(patched[0], LearnReport):
         assert calls == patched[0].episodes
+    return patched[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(memo_tasks(), st.integers(0, 2**32))
+def test_a_patched_run_episode_is_called_once_per_episode(task, seed):
+    patched_run_episode_is_called_once_per_episode(task, seed, CAP)
+
+
+@pytest.mark.parametrize("n_actions, horizon", itertools.product((1, 2, 3, 5), (1, 2, 4, 7, 12)))
+def test_a_patched_run_episode_is_called_once_per_episode_over_the_fixed_grid(n_actions, horizon):
+    """Three random aliased automata of each shape, each with its demo and
+    with a demo whose third token (or last, if shorter) the env never emits,
+    so that the search backtracks through the positions before it and then
+    exhausts position 0; under three suggesters and two seeds, at a budget
+    of 400 episodes and at half the episodes that a full run took."""
+    for k in range(3):
+        def make_env(k=k):
+            return random_aliased_env(random.Random(f"learn-check-{k}"), n_actions, horizon)[0]
+
+        script = random_aliased_env(random.Random(f"learn-check-{k}"), n_actions, horizon)[1]
+        sketch = Sketch(tuple(f"s{a}" for a in script))  # equal actions share a label
+        demo = record_demonstration(make_env(), script, sketch)
+        at = min(2, horizon - 1)
+        obs = demo.observations
+        unreachable = Demonstration((*obs[:at], UNEMITTED, *obs[at + 1:]), sketch)
+        for d, make_suggester, seed in itertools.product(
+                (demo, unreachable),
+                (UniformSuggester, RepeatPoolSuggester, lambda: SketchPoolSuggester(sketch, horizon)),
+                (0, 1)):
+            task = make_env, d, make_suggester
+            full = patched_run_episode_is_called_once_per_episode(task, seed, 400)
+            if isinstance(full, LearnReport) and full.episodes > 1:
+                patched_run_episode_is_called_once_per_episode(task, seed, full.episodes // 2)
