@@ -26,6 +26,13 @@ a full row. Once an episode repeats the previous one's actions without
 completing, nothing can ever change (deterministic policy, deterministic
 world, no new knowledge), so the run stops there as incomplete, with stop
 reason "fixed_point".
+
+A greedy choice can change only when a row fills, so an episode after one
+in which no row filled repeats that episode's lead, the steps before its
+first untried action: the loop replays the lead with one `Env.run` and
+chooses from there. Edges added to a row that is not full change no value,
+a full row stays full, and the world is deterministic, so every episode is
+the one a step-by-step loop would take.
 """
 
 from __future__ import annotations
@@ -69,6 +76,13 @@ def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> L
     `make_policy(succ, expect, n_actions)` returns the agent's
     `greedy(s, t)`, the action to take in a full row s at position t, and
     `row_filled(s)`, called once row s is full.
+
+    `lead` is the position of the previous episode's first untried step,
+    and 0 if a row filled in that episode or it tried nothing new. The
+    steps before it are greedy steps in full rows, so the next episode
+    takes them again: it replays `prev[:lead]` with one `run` and starts
+    choosing at `t = lead`, with the previous episode's match count cut to
+    the lead.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1 episode")
@@ -84,16 +98,20 @@ def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> L
         expect[index[tok]] = index[nxt]
     succ = [[] for _ in expect]
     greedy, row_filled = make_policy(succ, expect, n_act)
-    of, step = index.get, env.step
+    of, reset, run, step = index.get, env.reset, env.run, env.step
     rows = []
     total_steps = 0
-    prev = None
-    best_matched = 0
+    prev = []  # no episode has zero steps: the start token is never _TERM
+    lead = matched = best_matched = 0
     for ep in range(1, budget + 1):
-        s = of(env.reset(), _TERM)
-        actions = []
-        matched = 0
-        for t in range(horizon):
+        tok = reset()
+        if lead:
+            tok = run(prev[:lead])
+        s = of(tok, _TERM)
+        actions = prev[:lead]
+        matched = min(matched, lead)
+        lead = None  # this episode's first untried position; 0 once a row fills
+        for t in range(len(actions), horizon):
             if s == _TERM:
                 break
             row = succ[s]
@@ -103,12 +121,16 @@ def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> L
             z = of(tok, _TERM)
             actions.append(a)
             if untried:
+                if lead is None:
+                    lead = t
                 row.append(z)
                 if len(row) == n_act:
                     row_filled(s)
+                    lead = 0
             if matched == t and tok == obs[t]:
                 matched += 1
             s = z
+        lead = lead or 0
         total_steps += len(actions)
         best_matched = max(best_matched, matched)
         done = matched == horizon

@@ -27,11 +27,17 @@ class ContractViolation(ValueError):
 
 
 class Memo(dict):
-    """An env memo: latent state -> row. The rows link to each other (a sink
-    or a no-op step loops to itself), so the memo clears them when it is
-    released and leaves no cycle to the cyclic garbage collector."""
+    """An env memo: latent state -> row, with `start`, the start state's row
+    and token, set by the first reset that succeeds (None until then). The
+    rows link to each other (a sink or a no-op step loops to itself), so the
+    memo clears them when it is released and leaves no cycle to the cyclic
+    garbage collector."""
 
-    __slots__ = ()
+    __slots__ = ("start",)
+
+    def __init__(self):
+        super().__init__()
+        self.start = None
 
     def __del__(self):
         for row in self.values():
@@ -50,7 +56,9 @@ class Env:
     first reset that succeeds. Replaying an action sequence from reset
     yields the same tokens. The rows live in `_rows`, a `Memo`: an env
     built alone has its own, and `Task.env` points every env of a task at
-    the task's, while each env keeps its own `_row`.
+    the task's, while each env keeps its own `_row`. The memo keeps the
+    start row and token too, so `_start` runs at the first reset that
+    succeeds on a memo and never again for its envs.
 
     `run(actions)` steps through a batch with the checks made once for the
     whole batch, and `burn(rng, m)` takes `m` steps with actions drawn as
@@ -66,8 +74,11 @@ class Env:
         self._rows = Memo()
 
     def reset(self) -> Obs:
-        state, tok = self._start()
-        self._row = self._row_of(state)
+        start = self._rows.start
+        if start is None:
+            state, tok = self._start()
+            start = self._rows.start = self._row_of(state), tok
+        self._row, tok = start
         return tok
 
     def step(self, a: Action) -> Obs:

@@ -165,10 +165,12 @@ def test_tabular_agents_match_their_oracles(data):
 
 
 def test_rmax_values_refresh_when_a_row_fills():
-    # on these automata a value memoised before a row filled would steer a
-    # later episode differently; the property above rarely draws such a case
-    for n_actions, horizon, seed in ((2, 4, 82), (3, 5, 133)):
-        env, script = random_aliased_env(random.Random(seed), n_actions, horizon, n_tokens=2)
+    # on these automata a value memoised before a row filled, or a lead
+    # replayed across the fill, would steer a later episode differently; the
+    # property above rarely draws such a case
+    for n_actions, horizon, n_tokens, seed in ((2, 4, 2, 82), (3, 5, 2, 133),
+                                               (2, 6, 3, 97), (3, 4, 3, 109)):
+        env, script = random_aliased_env(random.Random(seed), n_actions, horizon, n_tokens)
         demo = record_demonstration(env, script)
         budget = 2 * n_actions * horizon
         assert rmax_learn(env, demo, budget) == rmax_full_replan_learn(env, demo, budget)
@@ -185,3 +187,41 @@ def test_piano_fixed_point_matches_the_reference_loop(fn, oracle):
     assert rep.stop_reason == "fixed_point"
     assert len(rep.rows) == 6
     assert rep == oracle(task.env(), demo, budget=30000)
+
+
+@pytest.mark.parametrize("fn", [rmax_learn, ucb_learn])
+def test_cpr_episodes_replay_their_lead_in_one_run(fn):
+    # an episode replays the previous one's steps before its first untried
+    # action with one run, unless a row filled in between or that action
+    # was the first; every other step goes through step
+    task = make_task("cpr")
+    env, steps, batches = task.env(), [], []
+    step, run = env.step, env.run
+
+    def counted_step(a):
+        steps.append(a)
+        return step(a)
+
+    def counted_run(actions):
+        batches.append(len(actions))
+        return run(actions)
+
+    env.step, env.run = counted_step, counted_run
+    report = fn(env, task.demo(), budget=30000)
+    assert report.complete and report.episodes == 4334
+    assert len(steps) + sum(batches) == report.total_steps == 429066
+    # 4,115 episodes replay a lead and then step 4,308 times; the other 219
+    # (the first, the 22 after an untried action at the start and the 196
+    # after a row fill) step 19,528 times
+    assert (len(steps), len(batches), sum(batches)) == (23836, 4115, 405230)
+
+
+@pytest.mark.parametrize("name", ["chain", "gem", "island"])
+@pytest.mark.parametrize("fn, oracle", [(rmax_learn, rmax_full_replan_learn),
+                                        (ucb_learn, ucb_scan_learn)])
+def test_tabular_agents_match_their_oracles_at_full_budget(name, fn, oracle):
+    # cpr's full runs are pinned by tests/test_tabular_cpr.py's CSV hash,
+    # taken from these oracles, and piano's by the fixed-point test above
+    task = make_task(name)
+    demo = task.demo()
+    assert fn(task.env(), demo, 30000) == oracle(task.env(), demo, 30000)

@@ -10,7 +10,7 @@ from procsearch.envs import ENV_REGISTRY, make_task
 @pytest.mark.parametrize("name", sorted(ENV_REGISTRY))
 def test_determinism_under_random_sequence_fuzzing(name):
     task = make_task(name)
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(name)  # str seeds are not salted, so a failure reruns
     n = task.env().n_actions
     for _ in range(1000):
         seq = [rng.randrange(n) for _ in range(rng.randrange(1, 12))]

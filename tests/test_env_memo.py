@@ -4,9 +4,10 @@
 lookup, so these properties run every env long enough for the memo to be
 warm and check each token against a rule that reads no memo, and against a
 fresh instance whose memo is cold, and count that `_transition` runs once
-per (state, action). `Env.run` walks the same rows for a batch, so it is
-checked against a loop of `step`. Every env that one `Task` makes walks the
-task's memo, so the same properties are checked across the envs of a task.
+per (state, action) and `_start` once per memo. `Env.run` walks the same
+rows for a batch, so it is checked against a loop of `step`. Every env that
+one `Task` makes walks the task's memo, so the same properties are checked
+across the envs of a task.
 """
 
 import gc
@@ -157,6 +158,28 @@ def test_a_failed_first_reset_leaves_the_env_unreset():
         with pytest.raises(ContractViolation, match="before reset"):
             call()
     assert env.state == PianoEnv().state
+
+
+@pytest.mark.parametrize("name", ["chain", "cpr", "piano", "island"])
+def test_every_env_of_a_task_starts_from_one_start_call(name):
+    # craft's start token serializes the whole map, so a reset that called
+    # _start would pay for it on every episode
+    task = ENV_REGISTRY[name]()  # a task of its own, with a cold memo
+    alone = task.make_env()  # an env with a memo of its own
+    want = alone.reset(), alone.run(task.solution)
+    cls, calls = type(alone), []
+    start = cls._start
+
+    def counted(env):
+        calls.append(env)
+        return start(env)
+
+    with mock.patch.object(cls, "_start", counted):
+        for _ in range(3):
+            env = task.env()
+            for _ in range(5):
+                assert (env.reset(), env.run(task.solution)) == want
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["chain", "cpr", "aliased0", "piano", "island"])
