@@ -261,6 +261,7 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#e377c2")
+_WIDTH, _HEIGHT = 640, 400
 
 
 def matched_fraction_curve(record: RunRecord) -> list[float]:
@@ -279,22 +280,22 @@ def _mean_curve(records: list[RunRecord]) -> list[float]:
     return out
 
 
-def learning_curves_svg(records: list[RunRecord], width: int = 640, height: int = 400) -> str:
+def learning_curves_svg(records: list[RunRecord]) -> str:
     by_agent: dict[str, list[RunRecord]] = {}
     for r in records:
         by_agent.setdefault(r.config.agent, []).append(r)
     curves = {a: _mean_curve(rs) for a, rs in sorted(by_agent.items())}
     max_x = max((len(c) for c in curves.values()), default=1)
     pad = 45
-    px = lambda i: pad + (width - 2 * pad) * (i / max(max_x - 1, 1))
-    py = lambda v: height - pad - (height - 2 * pad) * v
+    px = lambda i: pad + (_WIDTH - 2 * pad) * (i / max(max_x - 1, 1))
+    py = lambda v: _HEIGHT - pad - (_HEIGHT - 2 * pad) * v
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 8}" font-size="12" text-anchor="middle">episode</text>',
-        f'<text x="12" y="{height // 2}" font-size="12" transform="rotate(-90 12 {height // 2})" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<line x1="{pad}" y1="{_HEIGHT - pad}" x2="{_WIDTH - pad}" y2="{_HEIGHT - pad}" stroke="black"/>',
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{_HEIGHT - pad}" stroke="black"/>',
+        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 8}" font-size="12" text-anchor="middle">episode</text>',
+        f'<text x="12" y="{_HEIGHT // 2}" font-size="12" transform="rotate(-90 12 {_HEIGHT // 2})" '
         f'text-anchor="middle">matched fraction</text>',
     ]
     for k, (agent, curve) in enumerate(curves.items()):
@@ -303,7 +304,7 @@ def learning_curves_svg(records: list[RunRecord], width: int = 640, height: int 
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(f"{px(i):.1f},{py(v):.1f}" for i, v in enumerate(curve))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
-        parts.append(f'<text x="{width - pad + 4}" y="{pad + 14 * k}" font-size="11" '
+        parts.append(f'<text x="{_WIDTH - pad + 4}" y="{pad + 14 * k}" font-size="11" '
                      f'fill="{color}">{agent}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

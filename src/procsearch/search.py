@@ -51,25 +51,8 @@ class PartialPlan:
     def frontier(self) -> int:
         return len(self.confirmed)
 
-    def excluded(self) -> set[Action]:
-        """The frontier ledger itself, not a copy: callers must not change it."""
-        return self.ruled_out[self.frontier]
-
     def frontier_exhausted(self) -> bool:
-        return len(self.excluded()) >= self.n_actions
-
-    def confirm(self, a: Action) -> None:
-        self.confirmed.append(a)
-        self.ruled_out.append(set())
-
-    def reject(self, a: Action) -> None:
-        self.ruled_out[self.frontier].add(a)
-
-    def check_invariants(self) -> None:
-        assert len(self.ruled_out) == len(self.confirmed) + 1
-        for i, a in enumerate(self.confirmed):
-            assert a not in self.ruled_out[i], "confirmed action ruled out"
-        assert all(len(r) <= self.n_actions for r in self.ruled_out)
+        return len(self.ruled_out[self.frontier]) >= self.n_actions
 
 
 @dataclass
@@ -185,12 +168,12 @@ def _episodes(env: Env, demo: Demonstration, plan: PartialPlan, suggester: Actio
                     candidates = [x for x in range(n) if x not in excluded]
                     a = candidates[randrange(len(candidates))]
                 if step(a) == observations[steps]:
-                    confirmed.append(a)  # plan.confirm(a)
+                    confirmed.append(a)
                     ruled_out.append(set())
                     steps += 1
                     on_confirmed(plan)
                 else:
-                    excluded.add(a)  # plan.reject(a)
+                    excluded.add(a)
                     on_failed(plan, a)
                     burn(rng, horizon - steps - 1)
                     break

@@ -405,6 +405,15 @@ def select_scan(pool, actions, excluded: set[Action]):
     return None if best is None else best[1:]
 
 
+def confirm(plan: PartialPlan, *actions: Action) -> PartialPlan:
+    """Confirm `actions` at the frontier in turn, each opening an empty
+    ledger, as the episode loop does on a match; returns `plan`."""
+    for a in actions:
+        plan.confirmed.append(a)
+        plan.ruled_out.append(set())
+    return plan
+
+
 def run_episode_scan(env: Env, demo: Demonstration, plan: PartialPlan,
                      suggester: ActionSuggester, rng: random.Random) -> EpisodeResult:
     """Oracle for `search.run_episode`: the loop that reads the frontier and
@@ -424,7 +433,7 @@ def run_episode_scan(env: Env, demo: Demonstration, plan: PartialPlan,
     while plan.frontier < horizon:
         t = plan.frontier
         # not exhausted: checked above, and each confirmation opens empty ledgers
-        excluded = plan.excluded()
+        excluded = plan.ruled_out[t]
         a = suggester.suggest(plan, excluded)
         if a is None or a in excluded:
             candidates = [x for x in range(plan.n_actions) if x not in excluded]
@@ -432,11 +441,11 @@ def run_episode_scan(env: Env, demo: Demonstration, plan: PartialPlan,
         obs = env.step(a)
         steps += 1
         if obs == demo.observations[t]:
-            plan.confirm(a)
+            confirm(plan, a)
             confirmed_any = True
             suggester.on_confirmed(plan)
         else:
-            plan.reject(a)
+            excluded.add(a)
             suggester.on_failed(plan, a)
             while steps < horizon:
                 env.step(rng.randrange(plan.n_actions))

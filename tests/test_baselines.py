@@ -8,14 +8,7 @@ from procsearch.core import Sketch, Task, record_demonstration, spans_from_lengt
 from procsearch.envs import make_task
 from procsearch.envs.scripted import AutomatonEnv, ScriptedEnv, make_chain, random_aliased_env
 from procsearch.search import PartialPlan, UniformSuggester, learn, replay_matches
-from tests.oracles import rmax_full_replan_learn, ucb_scan_learn
-
-
-def _plan_with(n_actions, actions):
-    plan = PartialPlan(n_actions)
-    for a in actions:
-        plan.confirm(a)
-    return plan
+from tests.oracles import confirm, rmax_full_replan_learn, ucb_scan_learn
 
 
 def test_bpsosa_no_suggestion_during_first_occurrence():
@@ -23,7 +16,7 @@ def test_bpsosa_no_suggestion_during_first_occurrence():
     align = spans_from_lengths([2, 1, 2])
     sug = OracleAlignedSuggester(align, sketch)
     for t in range(2):  # every position of x's first span
-        plan = _plan_with(3, [0] * t)
+        plan = confirm(PartialPlan(3), *[0] * t)
         assert sug.suggest(plan, set()) is None
 
 
@@ -31,9 +24,9 @@ def test_bpsosa_replays_learned_span():
     sketch = Sketch(("x", "y", "x"))
     align = spans_from_lengths([2, 1, 2])
     sug = OracleAlignedSuggester(align, sketch)
-    plan = _plan_with(3, [0, 1, 2])  # x=(0,1) fully learned, y=(2,)
+    plan = confirm(PartialPlan(3), 0, 1, 2)  # x=(0,1) fully learned, y=(2,)
     assert sug.suggest(plan, set()) == 0
-    plan.confirm(0)
+    confirm(plan, 0)
     assert sug.suggest(plan, set()) == 1
 
 

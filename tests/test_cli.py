@@ -1,15 +1,21 @@
 from procsearch.cli import main
 from procsearch.core import read_demo_file
+from procsearch.harness import RunConfig, run
 
 
 def test_run_subcommand(tmp_path, capsys):
+    # the run command's own --out flag, which makes the directory; harness.run writes no file
+    out_dir = tmp_path / "one"
     rc = main(["run", "--env", "chain", "--agent", "bps", "--seed", "7",
-               "--out", str(tmp_path)])
+               "--out", str(out_dir)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "env=chain agent=bps seed=7" in out
     assert "complete=True stop_reason=complete" in out
-    csv_rows = (tmp_path / "chain_bps_s7.csv").read_text().splitlines()[1:]
+    assert [p.name for p in out_dir.iterdir()] == ["chain_bps_s7.csv"]
+    csv = (out_dir / "chain_bps_s7.csv").read_text()
+    assert csv == run(RunConfig("chain", "bps", 7)).csv()
+    csv_rows = csv.splitlines()[1:]
     assert f"episodes={len(csv_rows)} episodes_run={len(csv_rows)} " in out
 
 

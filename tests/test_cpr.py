@@ -1,4 +1,4 @@
-from procsearch.envs.cpr import ACTION_NAMES, CprEnv, make_cpr_task
+from procsearch.envs.cpr import ACTION_NAMES, make_cpr_task
 from procsearch.repeats import count_occurrences
 
 
@@ -21,20 +21,3 @@ def test_script_contains_repeated_subsequence():
     body = bytes(task.solution)
     cycle = bytes(task.solution[37:37 + 32])
     assert count_occurrences(body, cycle) >= 2
-
-
-def test_cpr_demo_realizable_and_markov():
-    task = make_cpr_task()
-    demo = task.demo()
-    env = task.env()
-    env.reset()
-    assert all(env.step(a) == z for a, z in zip(task.solution, demo.observations))
-    toks = (task.env().reset(), *demo.observations)
-    assert len(set(toks)) == len(toks)
-
-
-def test_wrong_action_falls_off_script():
-    env = CprEnv()
-    env.reset()
-    wrong = (env.script[0] + 1) % env.n_actions
-    assert env.step(wrong) == "OFF"

@@ -1,13 +1,26 @@
-"""The memoised environment step against each domain's own rule.
+"""Step-level contract: the memoised `Env.step` of every env.
 
 `core.Env` fills one row per latent state from `_transition` and steps by
-lookup, so these properties run every env long enough for the memo to be
-warm and check each token against a rule that reads no memo, and against a
-fresh instance whose memo is cold, and count that `_transition` runs once
-per (state, action) and `_start` once per memo. `Env.run` walks the same
-rows for a batch, so it is checked against a loop of `step`. Every env that
-one `Task` makes walks the task's memo, so the same properties are checked
-across the envs of a task.
+lookup. Each property here runs on every entry of `FACTORIES` (every
+registered task's env, eight random aliased automata and a craft map where
+random play builds rafts), so an env added to `ENV_REGISTRY` is covered
+without a test of its own:
+
+- the domain rule: random play, across resets, emits at each step (and at
+  each reset) the token of a rule that reads no memo, and a fresh env whose
+  memo is cold emits the same tokens as the warm one;
+- the contract checks: a step before the first reset, and an action that is
+  not an id, are refused and leave the state as it was;
+- `_transition` runs once per (state, action), in an env's own memo and
+  across the envs of one task, and `Env.run` refuses a bad batch before it
+  takes a step;
+- envs of one task, stepped interleaved through the task's memo, emit what
+  envs with memos of their own emit.
+
+`Env.run` walks the same rows for a batch, so it is checked against a loop
+of `step`, and `_start` is counted once per memo. The task-level properties
+(realizable demos, alignments, Markov tokens) are in
+`tests/test_env_contract.py`.
 """
 
 import gc
@@ -18,13 +31,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procsearch.core import ContractViolation, Env
+from procsearch.core import ContractViolation, Env, Task
 from procsearch.envs import ENV_REGISTRY, make_task
 from procsearch.envs.craft import ACTION_NAMES as CRAFT_ACTIONS, GridCraftEnv
-from procsearch.envs.piano import N_KEYS, PianoEnv
+from procsearch.envs.piano import N_KEYS, SILENCE, PianoEnv
 from procsearch.envs.scripted import OFF_TOKEN, AutomatonEnv, ScriptedEnv, random_aliased_env
 from tests.oracles import craft_token, piano_step
-from tests.test_craft import RAFT_MAP
+
+# three woods and a workshop above water: random play builds rafts and swims
+RAFT_MAP = "KWW\n.@W\n~~~\n.I."
 
 
 def aliased_factory(seed: int):
@@ -41,16 +56,20 @@ FACTORIES = {
 
 
 def rule(env):
-    """`want(a) -> token` by the domain's rule from the start state, reading
-    nothing of `env` but its parameters; for craft, the serialization of the
-    state views after the step, echoed when the step changed nothing."""
+    """`(start token, want)`, where `want(a) -> token`, called after
+    `env.step(a)`, steps the domain's rule from the start state, reading
+    nothing of `env` but its parameters; for piano it also checks the env's
+    hand against the rule's, and for craft the token is the serialization of
+    the state views after the step, echoed when the step changed nothing."""
     if isinstance(env, PianoEnv):
         hand = [env.start_wrist, 0]
 
         def want(a):
             *hand[:], tok = piano_step(*hand, a)
+            assert (env.wrist, env.thumb) == tuple(hand)
             return tok
-    elif isinstance(env, ScriptedEnv):
+        return SILENCE, want
+    if isinstance(env, ScriptedEnv):
         pos = [0, True]  # script actions taken, still on script
 
         def want(a):
@@ -60,22 +79,23 @@ def rule(env):
                 return env.tokens[i]
             pos[1] = False
             return OFF_TOKEN
-    elif isinstance(env, AutomatonEnv):
+        return env.start_token, want
+    if isinstance(env, AutomatonEnv):
         state = [env.start_state]
 
         def want(a):
             state[0], tok = env.trans[state[0]][a]
             return tok
-    else:
-        assert isinstance(env, GridCraftEnv)
-        before = [(env.pos, dict(env.inventory), env.grid)]
+        return env.start_token, want
+    assert isinstance(env, GridCraftEnv)
+    before = [(env._pos0, {}, env._grid0)]
 
-        def want(a):  # called after env.step(a)
-            after = (env.pos, dict(env.inventory), env.grid)
-            tok = craft_token(*after)
-            unchanged, before[0] = after == before[0], after
-            return f"{tok}|no:{CRAFT_ACTIONS[a]}" if unchanged else tok
-    return want
+    def want(a):  # called after env.step(a)
+        after = (env.pos, dict(env.inventory), env.grid)
+        tok = craft_token(*after)
+        unchanged, before[0] = after == before[0], after
+        return f"{tok}|no:{CRAFT_ACTIONS[a]}" if unchanged else tok
+    return craft_token(*before[0]), want
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -83,8 +103,8 @@ def test_warm_memo_steps_match_the_domain_rule_and_a_cold_env(name):
     env = FACTORIES[name]()
     rng = random.Random(name)
     for _ in range(30):
-        start = env.reset()
-        want = rule(env)
+        start, want = rule(env)
+        assert env.reset() == start
         seq = [rng.randrange(env.n_actions) for _ in range(rng.randrange(1, 60))]
         toks = []
         for a in seq:
@@ -93,6 +113,8 @@ def test_warm_memo_steps_match_the_domain_rule_and_a_cold_env(name):
         cold = FACTORIES[name]()
         assert cold.reset() == start
         assert [cold.step(a) for a in seq] == toks
+    if isinstance(env, GridCraftEnv):  # random play used items, not only moved
+        assert len({state[1:] for state in env._rows}) > 1
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -125,18 +147,23 @@ def drive(env, rng, episodes):
         env.burn(rng, rng.randrange(20))
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["own", "task"])
 @pytest.mark.parametrize("name", sorted(FACTORIES))
-def test_memo_runs_each_transition_once(name):
-    # a memo that stored nothing would give the same tokens, only slower
-    env, rng = FACTORIES[name](), random.Random(name)
-    calls, transition = {}, env._transition
-
-    def counted(state, a):
-        calls[state, a] = calls.get((state, a), 0) + 1
-        return transition(state, a)
-
-    env._transition = counted
-    drive(env, rng, 60)
+def test_memo_runs_each_transition_once(name, shared):
+    # a memo that stored nothing would give the same tokens, only slower; the
+    # envs of one task (and its demo) walk one memo, so once across them all
+    task = ENV_REGISTRY[name]() if name in ENV_REGISTRY else Task(name, FACTORIES[name], ())
+    rng, cls = random.Random(name), type(task.make_env())
+    with mock.patch.object(cls, "_transition", autospec=True,
+                           side_effect=cls._transition) as counted:
+        if shared:
+            if task.solution:  # a registered task's demo walks its memo too
+                task.demo()
+            for _ in range(4):
+                drive(task.env(), rng, 15)
+        else:
+            drive(task.make_env(), rng, 60)
+    calls = Counter((state, a) for _, state, a in (c.args for c in counted.call_args_list))
     assert calls and set(calls.values()) == {1}
 
 
@@ -346,22 +373,9 @@ def test_run_steps_through_any_iterable_once(factory, wrap):
         env.run(wrap([1, N_KEYS * 9]))
 
 
-@pytest.mark.parametrize("name", sorted(ENV_REGISTRY))
-def test_one_task_runs_each_transition_once_across_its_envs(name):
-    task, rng = ENV_REGISTRY[name](), random.Random(name)  # a task with a cold memo
-    cls = type(task.make_env())
-    with mock.patch.object(cls, "_transition", autospec=True,
-                           side_effect=cls._transition) as counted:
-        task.demo()
-        for _ in range(4):
-            drive(task.env(), rng, 15)
-    calls = Counter((state, a) for _, state, a in (c.args for c in counted.call_args_list))
-    assert calls and set(calls.values()) == {1}
-
-
-@pytest.mark.parametrize("name", sorted(ENV_REGISTRY))
+@pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_envs_of_one_task_stepped_interleaved_match_envs_with_their_own_memos(name):
-    task, rng = ENV_REGISTRY[name](), random.Random(name)
+    task, rng = Task(name, FACTORIES[name], ()), random.Random(name)
     shared, own = [task.env(), task.env()], [task.make_env(), task.make_env()]
     n = shared[0].n_actions
     for _ in range(40):

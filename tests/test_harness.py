@@ -33,15 +33,6 @@ def test_csv_shape_and_columns():
     assert int(last[2]) == rec.horizon  # done implies the full prefix matched
 
 
-def test_run_writes_csv_file(tmp_path):
-    # the run command's own --out flag; harness.run writes no file
-    out_dir = tmp_path / "one"
-    assert cli.main(["run", "--env", "chain", "--agent", "bps", "--seed", "3",
-                     "--out", str(out_dir)]) == 0
-    assert [p.name for p in out_dir.iterdir()] == ["chain_bps_s3.csv"]
-    assert (out_dir / "chain_bps_s3.csv").read_text() == run(RunConfig("chain", "bps", 3)).csv()
-
-
 def test_unknown_names_rejected():
     with pytest.raises(ConfigError):
         run(RunConfig(env="nope", agent="bps", seed=0))

@@ -43,5 +43,6 @@ def test_every_plan_agent_meets_the_markov_bound(task, seed):
         assert rep.complete, agent
         assert rep.episodes <= n_actions * horizon, agent
         assert rep.total_steps <= n_actions * horizon * horizon, agent
+        assert all(steps <= horizon for _, steps, *_ in rep.rows), agent
         assert rep.backtracks == 0, agent
         assert replay_matches(task.env(), demo, rep.plan), agent

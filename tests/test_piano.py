@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from procsearch.envs.piano import (
@@ -14,7 +12,7 @@ def test_pinned_statistics():
     demo = task.demo()
     assert demo.horizon == 86
     assert len(notes_only_view(demo).observations) == 64
-    assert len(demo.sketch) == 24
+    assert len(demo.sketch) == len(PIECE) == 24
     assert len(demo.sketch.labels) == 5
     assert task.env().n_actions == 9
 
@@ -58,19 +56,6 @@ def test_aliasing_two_hand_positions_same_note():
     assert (a.wrist, a.thumb) != (b.wrist, b.thumb)
 
 
-def test_demo_realizable_and_segments_fixed():
-    task = make_piano_task()
-    demo = task.demo()
-    env = task.env()
-    env.reset()
-    assert all(env.step(x) == z for x, z in zip(task.solution, demo.observations))
-    contents = {}
-    for (s, e), lbl in zip(task.alignment, demo.sketch.elements):
-        seg = task.solution[s:e]
-        assert contents.setdefault(lbl, seg) == seg
-    assert len(PIECE) == 24
-
-
 def test_demo_is_aliased():
     demo = make_piano_task().demo()
     assert len(set(demo.observations)) < demo.horizon
@@ -89,22 +74,6 @@ def test_table_matches_the_arithmetic_on_every_hand_and_action():
                 assert (env.wrist, env.thumb) == (wrist, thumb)
                 tok = env.step(a)
                 assert (env.wrist, env.thumb, tok) == piano_step(wrist, thumb, a)
-
-
-def test_table_matches_the_arithmetic_on_random_sequences():
-    """Random action sequences through the memoised `Env.step` follow the
-    hand arithmetic step by step, across resets."""
-    rng = random.Random(0)
-    for start in range(N_KEYS):
-        env = PianoEnv(start_wrist=start)
-        for _ in range(10):
-            assert env.reset() == SILENCE
-            wrist, thumb = start, 0
-            for _ in range(60):
-                a = rng.randrange(env.n_actions)
-                wrist, thumb, want = piano_step(wrist, thumb, a)
-                assert env.step(a) == want
-                assert (env.wrist, env.thumb) == (wrist, thumb)
 
 
 @pytest.mark.parametrize("start", [-1, N_KEYS, 100])

@@ -9,7 +9,7 @@ from procsearch.envs.scripted import ScriptedEnv
 from procsearch.repeats import RepeatPoolSuggester, RepeatStore, brute_force_repeat_counts
 from procsearch.search import PartialPlan, UniformSuggester, backtrack, learn
 from procsearch.sketch import SketchPool, SketchPoolSuggester
-from tests.oracles import brute_force_suggest_ranked, suggest_ranked_trie_walk
+from tests.oracles import brute_force_suggest_ranked, confirm, suggest_ranked_trie_walk
 from tests.test_sketch import EXCLUDED_SETS
 
 E, F, G = 0, 1, 2
@@ -30,13 +30,6 @@ def test_repeated_pair_counted():
 def test_unrepeated_suffix_not_added():
     store = fed_store((E, F, G, E))
     assert store.counts == {}
-
-
-def test_suffix_only_update_matches_brute_force():
-    rng = random.Random(1)
-    plan = [rng.randrange(3) for _ in range(30)]
-    store = fed_store(plan)
-    assert store.counts == brute_force_repeat_counts(plan)
 
 
 def test_suggest_follows_matching_prefix():
@@ -189,7 +182,7 @@ def test_suggest_matches_a_fresh_ranking_at_every_plan_state(motif, ops):
                 backtrack(plan, sug)
         else:
             for a in motif if op == -2 else [op]:
-                plan.confirm(a)
+                confirm(plan, a)
                 sug.on_confirmed(plan)
         if check:
             pb = bytes(plan.confirmed)
@@ -210,7 +203,7 @@ def test_suggest_after_a_backtrack_does_not_rank_again(make, ranker, monkeypatch
     sug = make()
     plan = PartialPlan(3)
     for a in (E, E, F, E, E, E):
-        plan.confirm(a)
+        confirm(plan, a)
         sug.on_confirmed(plan)
         sug.suggest(plan, set())  # as the episode loop does at the next position
     backtrack(plan, sug)
@@ -242,7 +235,7 @@ def test_confirming_a_plan_without_a_suggest_ranks_nothing(monkeypatch):
     sug = RepeatPoolSuggester()
     plan = PartialPlan(3)
     for a in (E, E, F, E, E, E):
-        plan.confirm(a)
+        confirm(plan, a)
         sug.on_confirmed(plan)
     assert ranks == []
     got = sug.suggest(plan, set())

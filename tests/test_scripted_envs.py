@@ -1,12 +1,9 @@
 import itertools
-import random
 
 import pytest
 
 from procsearch.core import record_demonstration
-from procsearch.envs.scripted import (
-    OFF_TOKEN, AutomatonEnv, make_chain, random_aliased_env, trap_env,
-)
+from procsearch.envs.scripted import OFF_TOKEN, AutomatonEnv, make_chain, trap_env
 
 
 def test_chain_correct_and_wrong_first_action():
@@ -15,14 +12,6 @@ def test_chain_correct_and_wrong_first_action():
     assert env.step(script[0]) == "z1"
     env.reset()
     assert env.step(1 - script[0]) == OFF_TOKEN
-
-
-def test_off_script_is_absorbing():
-    env, script = make_chain(n_actions=2, horizon=3)
-    env.reset()
-    env.step(1 - script[0])
-    for a in (script[0], script[1], 0, 1):
-        assert env.step(a) == OFF_TOKEN
 
 
 def enumerate_valid_plans(env, demo):
@@ -45,15 +34,6 @@ def test_trap_env_has_wrong_but_matching_action():
     assert env.step(1) == demo.observations[0]
     # ...but only one full plan reproduces the demonstration
     assert enumerate_valid_plans(env, demo) == [script]
-
-
-def test_random_aliased_envs_are_realizable():
-    rng = random.Random(7)
-    for _ in range(25):
-        env, script = random_aliased_env(rng, n_actions=3, horizon=6)
-        demo = record_demonstration(env, script)
-        env.reset()
-        assert all(env.step(a) == z for a, z in zip(script, demo.observations))
 
 
 @pytest.mark.parametrize("trans, start, message", [
