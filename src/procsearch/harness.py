@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import Field, dataclass, field, fields, replace
 from itertools import groupby, product
 from pathlib import Path
@@ -236,7 +237,9 @@ def sweep(configs: list[RunConfig], out_dir: str | Path | None = None,
     firsts: dict[RunConfig, RunConfig] = {}
     for c in configs:
         firsts.setdefault(cell(c), c)
-    workers = min(jobs, len(firsts))  # a Pool starts every worker up front
+    # a Pool starts every worker up front: at most one per run and per CPU it may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(firsts), cpus or 1)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             ran = pool.map(_run, firsts.values())
@@ -270,12 +273,10 @@ def matched_fraction_curve(record: RunRecord) -> list[float]:
 
 def _mean_curve(records: list[RunRecord]) -> list[float]:
     curves = [matched_fraction_curve(r) for r in records]
-    if not curves:
-        return []
     n = max(len(c) for c in curves)
     out = []
     for i in range(n):
-        vals = [c[i] if i < len(c) else (c[-1] if c else 0.0) for c in curves]
+        vals = [c[i] if i < len(c) else c[-1] for c in curves]
         out.append(sum(vals) / len(vals))
     return out
 
@@ -299,8 +300,6 @@ def learning_curves_svg(records: list[RunRecord]) -> str:
         f'text-anchor="middle">matched fraction</text>',
     ]
     for k, (agent, curve) in enumerate(curves.items()):
-        if not curve:
-            continue
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(f"{px(i):.1f},{py(v):.1f}" for i, v in enumerate(curve))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')

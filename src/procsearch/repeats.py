@@ -51,7 +51,7 @@ class RepeatStore:
         Raises ValueError unless `plan_bytes` extends the latest plan.
         """
         counts, t = self.counts, len(plan_bytes)
-        if plan_bytes[:-1] != self.plan:
+        if not plan_bytes or plan_bytes[:-1] != self.plan:
             raise ValueError(f"{t} actions do not extend the latest plan of {len(self.plan)}")
         for ln in range(2, t + 1):
             seq = plan_bytes[t - ln:]
@@ -158,9 +158,9 @@ class RepeatPoolSuggester(ActionSuggester):
         self.store.update(bytes(plan.confirmed))
         self.rankings.append(None)
 
-    def on_backtrack(self, plan: PartialPlan, removed: Action, position: int) -> None:
-        self.store.truncate(position)
-        del self.rankings[position + 1:]
+    def on_backtrack(self, n: int) -> None:
+        self.store.truncate(n)
+        del self.rankings[n + 1:]
 
 
 def brute_force_repeat_counts(plan) -> dict[bytes, int]:

@@ -76,10 +76,11 @@ class LearnReport:
 
 
 class ActionSuggester:
-    """Action-selection heuristic plugged into the episode loop.
-
-    suggest() may return None (no suggestion); the loop then samples
-    uniformly over actions not yet ruled out at the frontier.
+    """Action-selection heuristic plugged into the episode loop, a function
+    of the confirmed plan alone: `on_confirmed` follows each one-action
+    extension, `on_backtrack(n)` a cut to the first `n` actions, and
+    `suggest` changes nothing. When suggest() returns None, the loop samples
+    uniformly over the actions not yet ruled out at the frontier.
     """
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
@@ -91,7 +92,7 @@ class ActionSuggester:
     def on_failed(self, plan: PartialPlan, a: Action) -> None:
         pass
 
-    def on_backtrack(self, plan: PartialPlan, removed: Action, position: int) -> None:
+    def on_backtrack(self, n: int) -> None:
         pass
 
 
@@ -125,7 +126,7 @@ def backtrack(plan: PartialPlan, suggester: ActionSuggester) -> None:
     pos = len(plan.confirmed)
     del plan.ruled_out[pos + 1:]
     plan.ruled_out[pos].add(removed)
-    suggester.on_backtrack(plan, removed, pos)
+    suggester.on_backtrack(pos)
 
 
 _RUN_EPISODE = run_episode  # `learn` calls `run_episode` only while it is not this

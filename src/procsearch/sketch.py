@@ -581,5 +581,5 @@ class SketchPoolSuggester(ActionSuggester):
     def on_confirmed(self, plan: PartialPlan) -> None:
         self.pool.on_confirmed(plan.confirmed)
 
-    def on_backtrack(self, plan: PartialPlan, removed: Action, position: int) -> None:
-        self.pool.rebuild(position)
+    def on_backtrack(self, n: int) -> None:
+        self.pool.rebuild(n)

@@ -22,13 +22,6 @@ def test_chain_demo_recording():
     assert demo.observations == ("z1", "z2", "z3")
 
 
-def test_reset_returns_start_token_not_in_demo():
-    env, script = make_chain()
-    demo = record_demonstration(env, script)
-    assert env.reset() == "S0"
-    assert "S0" not in demo.observations
-
-
 def test_demonstration_requires_h_at_least_one():
     with pytest.raises(ValueError):
         Demonstration(())
@@ -38,6 +31,8 @@ def test_sketch_repeated_labels():
     sk = Sketch(("a", "b", "a", "c"))
     assert sk.labels == ("a", "b", "c")
     assert sk.repeated_labels() == ("a",)
+    with pytest.raises(ValueError, match="at least one element"):
+        Sketch(())
 
 
 def test_demo_file_round_trip():

@@ -16,6 +16,7 @@ def test_minimal_map_and_agent_position():
     ".x.\n.@.",       # unknown glyph
     "..\n.@.",        # ragged
     "...\n...",       # no agent
+    "",               # empty
 ])
 def test_map_errors(bad):
     with pytest.raises(MapError):

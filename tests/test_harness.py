@@ -1,10 +1,12 @@
 import re
+from contextlib import nullcontext
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
 from procsearch import cli, harness
-from procsearch.agents import MODEL_REGISTRY, ConfigError, run_agent
+from procsearch.agents import AGENT_NAMES, MODEL_REGISTRY, ConfigError, run_agent
 from procsearch.baselines import rmax_learn
 from procsearch.core import Sketch, Task
 from procsearch.envs import make_task
@@ -40,6 +42,8 @@ def test_unknown_names_rejected():
         run(RunConfig(env="chain", agent="nope", seed=0))
     with pytest.raises(ConfigError):
         run(RunConfig(env="chain", agent="bps", seed=0, max_episodes=0))
+    with pytest.raises(ConfigError, match="n_hypotheses must be >= 1"):
+        run(RunConfig(env="chain", agent="bps", seed=0, n_hypotheses=0))
 
 
 def test_sketch_agent_requires_sketch():
@@ -127,6 +131,8 @@ def test_run_agent_rejects_unknown_options():
     for key, value in (("n_hypotheses_typo", 3), ("early_reset", True), ("min_repeat_len", 3)):
         with pytest.raises(ConfigError, match=key):
             run_agent("bps", task, task.demo(), 0, 10, {key: value})
+    with pytest.raises(ConfigError, match="unknown agent 'nope'"):
+        run_agent("nope", task, task.demo(), 0, 10)
 
 
 def test_run_config_fields_and_their_flags(capsys):
@@ -277,15 +283,15 @@ def test_sweep_empty_config_list_rejected():
 
 def test_full_grid_sweep_summary_shape(tmp_path):
     # 4 envs x 6 agents x 2 seeds (tiny budget: episode counts do not matter
-    # here, only the 24-row summary shape; bpsosa/plots_sketch skip envs
-    # without sketches, hence the two-block spec)
+    # here, only the 24-row summary shape; every env has a sketch)
     spec = (
         "envs=gem,island,cpr,piano\n"
-        "agents=bps,plots_sketch,plots_nosketch,bpsosa,rmax_plus,ucb_plus\n"
+        f"agents={','.join(AGENT_NAMES)}\n"
         "seeds=0-1\nmax_episodes=3\n"
     )
     result = sweep(parse_sweep_spec(spec), out_dir=tmp_path)
     assert len(result.summary_rows) == 24
+    assert all(r.rows for r in result.records)  # the learning curves read each last row
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert len(lines) == 25  # header + one row per env x agent cell
 
@@ -301,24 +307,20 @@ def test_sweep_parallel_matches_serial(tmp_path):
     pytest.param("bps", 1, [], id="1"), pytest.param("bps", 2, [2], id="2"),
     # seed-blind: one run serves both seeds
     pytest.param("rmax_plus", 2, [], id="rmax_plus-2"),
+    # one worker per CPU the process may use, of the two patched in
+    pytest.param("bps", 3, [2], id="3"),
 ])
-def test_sweep_starts_no_more_workers_than_runs(monkeypatch, agent, n_configs, workers):
+def test_sweep_starts_no_more_workers_than_runs_or_cpus(monkeypatch, agent, n_configs, workers):
     asked = []
 
-    class FakePool:  # records its worker count and maps serially
-        def __init__(self, processes):
-            asked.append(processes)
+    def fake_pool(processes):  # records its worker count, starts none and maps serially
+        asked.append(processes)
+        return nullcontext(SimpleNamespace(map=lambda fn, items: list(map(fn, items))))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(harness.multiprocessing, "Pool", fake_pool)
+    # this process may use two of the host's eight CPUs
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     configs = parse_sweep_spec(f"envs=chain\nagents={agent}\nseeds=0-{n_configs - 1}\n")
     records = sweep(configs, jobs=8).records
     assert asked == workers

@@ -29,7 +29,8 @@ UNEMITTED = intern_token("never-emitted")
 
 class HookLog(ActionSuggester):
     """Passes each call on to `inner` and logs it with the plan as the call
-    found it: the confirmed prefix and every ledger."""
+    found it: the confirmed prefix and every ledger. A cut is logged with
+    its new length; the next call logs the plan it left."""
 
     def __init__(self, inner: ActionSuggester):
         self.inner, self.log = inner, []
@@ -50,9 +51,9 @@ class HookLog(ActionSuggester):
         self._note("on_failed", plan, a)
         self.inner.on_failed(plan, a)
 
-    def on_backtrack(self, plan, removed, position):
-        self._note("on_backtrack", plan, removed, position)
-        self.inner.on_backtrack(plan, removed, position)
+    def on_backtrack(self, n):
+        self.log.append(("on_backtrack", n))
+        self.inner.on_backtrack(n)
 
 
 def calls_into(code, fn, *args):

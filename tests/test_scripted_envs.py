@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from procsearch.core import record_demonstration
-from procsearch.envs.scripted import OFF_TOKEN, AutomatonEnv, make_chain, trap_env
+from procsearch.envs.scripted import OFF_TOKEN, AutomatonEnv, ScriptedEnv, make_chain, trap_env
 
 
 def test_chain_correct_and_wrong_first_action():
@@ -12,6 +12,15 @@ def test_chain_correct_and_wrong_first_action():
     assert env.step(script[0]) == "z1"
     env.reset()
     assert env.step(1 - script[0]) == OFF_TOKEN
+
+
+def test_a_script_or_a_row_that_does_not_fit_the_actions_is_refused():
+    with pytest.raises(ValueError, match="script action out of range"):
+        ScriptedEnv(2, (0, 2))
+    with pytest.raises(ValueError, match="one token per script position"):
+        ScriptedEnv(2, (0, 1), tokens=("a",))
+    with pytest.raises(ValueError, match="one transition per action"):
+        AutomatonEnv(2, [[(0, "a"), (0, "b")], [(0, "a")]])
 
 
 def enumerate_valid_plans(env, demo):
