@@ -71,16 +71,15 @@ def main(argv=None) -> int:
                       f"mean_episodes={row['mean_episodes']:.1f} "
                       f"complete={row['complete_rate']:.2f}")
             return 0
-        if args.command == "demo-gen":
-            task = make_task(args.env)
-            demo = task.demo()
-            Path(args.out).write_text(write_demo_file(demo, task.env().n_actions))
-            print(f"wrote {args.out} (H={demo.horizon})")
-            return 0
+        # the required subparsers admit only run, sweep and demo-gen
+        task = make_task(args.env)
+        demo = task.demo()
+        Path(args.out).write_text(write_demo_file(demo, task.env().n_actions))
+        print(f"wrote {args.out} (H={demo.horizon})")
+        return 0
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

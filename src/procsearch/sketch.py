@@ -330,6 +330,7 @@ class SketchPool:
         self.mem_cap = max(16, 4 * horizon * horizon)
         self.branch_cap = max(1, horizon // 2)
         self.frozen: list[Hypothesis] = []
+        self.plan = b""  # the plan of the latest confirmation or rebuild
         # keys adopted by the latest confirmation; older keys cannot recur,
         # since a child adopted at plan length t has consumed == t
         self.seen: set = set()
@@ -512,16 +513,16 @@ class SketchPool:
     # -- plan-event hooks -------------------------------------------------------
 
     def on_confirmed(self, actions: list[Action]) -> None:
-        """Advance the pool by the newest action of `actions`, which must be
-        one longer than the plan of the latest confirmation or rebuild (else
-        ValueError), and save its checkpoint. The proposals that rank the
-        pool also give `select`'s ranking of the new active set."""
-        if len(actions) != len(self.checkpoints):
+        """Advance the pool by the newest action of `actions`, which must
+        extend the plan of the latest confirmation or rebuild by one action
+        (else ValueError), and save its checkpoint. The proposals that rank
+        the pool also give `select`'s ranking of the new active set."""
+        pb = bytes(actions)
+        if len(pb) != len(self.checkpoints) or not pb.startswith(self.plan):
             raise ValueError(f"{len(actions)} actions do not extend the latest plan "
                              f"of {len(self.checkpoints) - 1}")
-        self.seen = set()
+        self.seen, self.plan = set(), pb
         a = actions[-1]
-        pb = bytes(actions)
         # this plan's repeated suffix less its last action repeats in the previous plan
         bound = repeated_suffix(pb, self.checkpoints[-1][3] + 1)
         kids = [kid for parent in self.active
@@ -552,7 +553,7 @@ class SketchPool:
             raise ValueError(f"cannot cut a plan of {len(self.checkpoints) - 1} actions to {n}")
         del self.checkpoints[n + 1:]
         del self.frozen[self.checkpoints[n][1]:]
-        self.seen = set()
+        self.seen, self.plan = set(), self.plan[:n]
 
     # -- selection ----------------------------------------------------------------
 

@@ -11,8 +11,10 @@ every match of the repeated content in its window and builds each child on
 two paths, one per place the first occurrence can lie, sketch selection ranks
 every active hypothesis on every call, the plan search's episode loop
 reads the plan through its properties and burns out with `rng.randrange`,
-the plan search runs that loop as one call per episode, and the piano and
-craft environments compute each observation from scratch.
+the plan search runs that loop as one call per episode, the tree the plan
+search explores is found by replaying every prefix, and the piano and
+craft environments compute each observation from scratch. `MixedSuggester`
+feeds the episode loops every kind of suggestion.
 
 The hypothesis check measures every region against its elements' labels as
 assigned now, however late they got content. The claim and branching
@@ -412,6 +414,41 @@ def confirm(plan: PartialPlan, *actions: Action) -> PartialPlan:
         plan.confirmed.append(a)
         plan.ruled_out.append(set())
     return plan
+
+
+def consistent_prefixes(env: Env, demo: Demonstration) -> list[tuple[Action, ...]]:
+    """The tree of demonstration-consistent prefixes by depth-first search:
+    every action prefix, the empty one included, whose replay emits the
+    demonstration's first tokens."""
+    tree, stack = [], [()]
+    while stack:
+        prefix = stack.pop()
+        tree.append(prefix)
+        if len(prefix) == demo.horizon:
+            continue
+        for a in range(env.n_actions):
+            env.reset()
+            for b in prefix:
+                env.step(b)
+            if env.step(a) == demo.observations[len(prefix)]:
+                stack.append(prefix + (a,))
+    return tree
+
+
+class MixedSuggester(ActionSuggester):
+    """Per call, from its own RNG: no suggestion, an excluded action, or any
+    action at all."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def suggest(self, plan, excluded):
+        kind = self.rng.randrange(3)
+        if kind == 0:
+            return None
+        if kind == 1 and excluded:
+            return sorted(excluded)[self.rng.randrange(len(excluded))]
+        return self.rng.randrange(plan.n_actions)
 
 
 def run_episode_scan(env: Env, demo: Demonstration, plan: PartialPlan,

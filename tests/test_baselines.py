@@ -7,7 +7,7 @@ from procsearch.baselines import OracleAlignedSuggester, rmax_learn, ucb_learn
 from procsearch.core import Sketch, Task, record_demonstration, spans_from_lengths
 from procsearch.envs import make_task
 from procsearch.envs.scripted import AutomatonEnv, ScriptedEnv, make_chain, random_aliased_env
-from procsearch.search import PartialPlan, UniformSuggester, learn, replay_matches
+from procsearch.search import PartialPlan, UniformSuggester, learn
 from tests.oracles import confirm, rmax_full_replan_learn, ucb_scan_learn
 
 
@@ -57,15 +57,6 @@ def test_bpsosa_learns_from_one_completed_span():
     assert rep.episodes <= plain.episodes
 
 
-def test_rmax_chain_within_exhaustive_bound():
-    env, script = make_chain(n_actions=2, horizon=3)
-    demo = record_demonstration(env, script)
-    rep = rmax_learn(make_chain(2, 3)[0], demo, budget=1000)
-    assert rep.complete
-    assert rep.episodes <= 2 * 3 + 3
-    assert replay_matches(make_chain(2, 3)[0], demo, rep.plan)
-
-
 def test_ucb_pulls_untried_arm_first():
     env, script = make_chain(n_actions=3, horizon=2)
     demo = record_demonstration(env, script)
@@ -98,44 +89,6 @@ def test_rmax_equals_ucb_on_markov_envs():
         u = ucb_learn(task.env(), demo, budget=30000)
         assert r.complete and u.complete
         assert r.episodes == u.episodes
-
-
-def test_baselines_sound_on_island():
-    task = make_task("island")
-    demo = task.demo()
-    for fn in (rmax_learn, ucb_learn):
-        rep = fn(task.env(), demo, budget=30000)
-        assert rep.complete
-        assert replay_matches(task.env(), demo, rep.plan)
-
-
-def test_baselines_fail_on_aliased_piano():
-    task = make_task("piano")
-    demo = task.demo()
-    for fn in (rmax_learn, ucb_learn):
-        rep = fn(task.env(), demo, budget=30000)
-        assert not rep.complete
-        assert rep.episodes == 30000  # reported as the full budget
-        assert len(rep.rows) < 30000  # fixed point detected early
-        assert rep.stop_reason == "fixed_point"
-
-
-def test_budget_validation():
-    task = make_task("chain")
-    demo = task.demo()
-    with pytest.raises(ValueError):
-        rmax_learn(task.env(), demo, budget=0)
-    with pytest.raises(ValueError):
-        ucb_learn(task.env(), demo, budget=0)
-
-
-def test_small_budget_reports_incomplete():
-    task = make_task("piano")
-    demo = task.demo()
-    rep = ucb_learn(task.env(), demo, budget=5)
-    assert not rep.complete
-    assert len(rep.rows) <= 5
-    assert rep.stop_reason == "budget"
 
 
 @settings(max_examples=60, deadline=None)

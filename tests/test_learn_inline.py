@@ -20,8 +20,7 @@ from procsearch.search import (
     ActionSuggester, LearnReport, UniformSuggester, UnsatisfiableDemo, learn, run_episode,
 )
 from procsearch.sketch import SketchPoolSuggester
-from tests.oracles import learn_per_episode
-from tests.test_search import MixedSuggester
+from tests.oracles import MixedSuggester, learn_per_episode
 
 CAP = 300  # the budget of the full run, which bounds the budgets drawn
 UNEMITTED = intern_token("never-emitted")

@@ -1,19 +1,14 @@
 import random
-from unittest import mock
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from procsearch import search
-from procsearch.core import Demonstration, Env, record_demonstration
-from procsearch.envs.scripted import (
-    ScriptedEnv, make_chain, make_markov_scripted, random_aliased_env, trap_env,
-)
+from procsearch.core import Env, record_demonstration
+from procsearch.envs.scripted import ScriptedEnv, make_chain, random_aliased_env, trap_env
 from procsearch.search import (
-    ActionSuggester, EpisodeResult, PartialPlan, UniformSuggester, UnsatisfiableDemo,
-    backtrack, learn, replay_matches, run_episode,
+    ActionSuggester, EpisodeResult, PartialPlan, UniformSuggester, backtrack, learn,
+    replay_matches, run_episode,
 )
-from tests.oracles import confirm, run_episode_scan
+from tests.oracles import MixedSuggester, confirm, run_episode_scan
 
 
 class ScriptedSuggester(ActionSuggester):
@@ -112,13 +107,6 @@ def test_backtrack_keeps_failures_at_unrolled_position():
     assert plan.ruled_out[0] == {0, 2}  # the failure is kept, the unrolled action added
 
 
-def test_unsatisfiable_demo_raises():
-    env, _ = make_chain(n_actions=2, horizon=1)
-    demo = Demonstration(("never-emitted",))
-    with pytest.raises(UnsatisfiableDemo):
-        learn(env, demo, UniformSuggester(), random.Random(0), budget=100)
-
-
 def test_learn_trap_env_backtracks_to_unique_plan():
     env, script = trap_env()
     demo = record_demonstration(env, script)
@@ -128,32 +116,6 @@ def test_learn_trap_env_backtracks_to_unique_plan():
     assert report.plan == script
     assert report.backtracks >= 1
     assert replay_matches(env, demo, report.plan)
-
-
-def test_h1_env_learned_within_a_episodes():
-    env, script = make_chain(n_actions=4, horizon=1)
-    demo = record_demonstration(env, script)
-    rep = learn(env, demo, UniformSuggester(), random.Random(1), budget=100)
-    assert rep.complete and rep.episodes <= 4
-
-
-def test_budget_exhaustion_flagged_incomplete():
-    env, script = make_chain(n_actions=2, horizon=3)
-    demo = record_demonstration(env, script)
-    rep = learn(env, demo, ScriptedSuggester([1 - script[0]]), random.Random(0), budget=1)
-    assert not rep.complete
-    assert rep.episodes == 1
-    with pytest.raises(ValueError):
-        learn(env, demo, UniformSuggester(), random.Random(0), budget=0)
-
-
-def test_rows_track_progress_monotonically():
-    env, script = make_markov_scripted(n_actions=3, horizon=10)
-    demo = record_demonstration(env, script)
-    rep = learn(env, demo, UniformSuggester(), random.Random(2), budget=1000)
-    matched = [m for _, _, m, _, _ in rep.rows]
-    assert matched == sorted(matched)  # no backtracks on a Markov env
-    assert rep.rows[-1][4] is True
 
 
 class RecordingEnv(Env):
@@ -174,22 +136,6 @@ class RecordingEnv(Env):
         return obs
 
 
-class MixedSuggester(ActionSuggester):
-    """Per call, from its own RNG: no suggestion, an excluded action, or any
-    action at all."""
-
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-
-    def suggest(self, plan, excluded):
-        kind = self.rng.randrange(3)
-        if kind == 0:
-            return None
-        if kind == 1 and excluded:
-            return sorted(excluded)[self.rng.randrange(len(excluded))]
-        return self.rng.randrange(plan.n_actions)
-
-
 @st.composite
 def search_tasks(draw):
     """A random aliased automaton or a scripted chain over 1-9 actions."""
@@ -199,23 +145,6 @@ def search_tasks(draw):
         return random_aliased_env(random.Random(draw(st.integers(0, 2**32))), n_actions, horizon)
     script = draw(st.lists(st.integers(0, n_actions - 1), min_size=horizon, max_size=horizon))
     return ScriptedEnv(n_actions, script), tuple(script)
-
-
-@settings(max_examples=150, deadline=None)
-@given(search_tasks(), st.integers(0, 2**32), st.integers(0, 2**32))
-def test_episode_loop_matches_the_scan_oracle(task, seed, suggester_seed):
-    """Whole `learn` runs through the library's episode loop and through the
-    oracle give equal reports, equal env traffic and the same RNG state."""
-    env, script = task
-    demo = record_demonstration(env, script)
-
-    def learn_with(episode):
-        recording, rng = RecordingEnv(env), random.Random(seed)
-        with mock.patch.object(search, "run_episode", episode):
-            report = learn(recording, demo, MixedSuggester(suggester_seed), rng, budget=200)
-        return report, recording.log, rng.getstate()
-
-    assert learn_with(run_episode) == learn_with(run_episode_scan)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,7 +9,8 @@ test of its own. After each op:
 - `suggest` returns None or an action id, and changes neither the plan, its
   ledgers nor `excluded`;
 - a stateful suggester refuses, with a ValueError and its state unchanged,
-  a confirmation not exactly one action longer and a cut outside [0, len(plan)].
+  a confirmation that does not extend the plan by one action and a cut
+  outside [0, len(plan)].
 
 The oracles of what each suggests are in `test_sketch` and `test_repeats`.
 """
@@ -95,9 +96,12 @@ def suggestions(sug, plan) -> list:
 
 def check_refusals(entry: Entry, sug, plan) -> None:
     n, state = plan.frontier, entry.view(sug)
-    for wrong in (n, n + 2, n - 1)[:3 if n else 2]:  # the same plan, a skip, a cut
-        actions = (plan.confirmed + [0, 0])[:wrong]
-        with pytest.raises(ValueError, match=f"{wrong} actions do not extend the latest plan of {n}"):
+    wrongs = [(plan.confirmed + [0, 0])[:k] for k in (n, n + 2, n - 1)[:3 if n else 2]]
+    if n:  # the right length, with the last action of the plan changed
+        wrongs.append(plan.confirmed[:-1] + [(plan.confirmed[-1] + 1) % N_ACTIONS, 0])
+    for actions in wrongs:  # the same plan, a skip, a cut, another plan
+        with pytest.raises(ValueError,
+                           match=f"{len(actions)} actions do not extend the latest plan of {n}"):
             sug.on_confirmed(confirm(PartialPlan(N_ACTIONS), *actions))
     for to in (-1, n + 1):
         with pytest.raises(ValueError, match=f"cannot cut a plan of {n} actions to {to}"):
