@@ -11,15 +11,22 @@ or `MODEL_REGISTRY` needs no run-contract test of its own. Each run checks:
   `backtracks` the last row's;
 - soundness: a complete plan has H actions and replays on a fresh env of
   the task, an incomplete one does not;
-- budgets and seeds: a budget of 0 is refused; a rerun at the same seed
-  (at any seed, for a tabular agent) reports the same; a run at budget b
-  has the full run's first b rows, and stops on the budget if the full run
-  is longer, else reports what the full run does.
+- budgets and seeds: a rerun at the same seed (at any seed, for a tabular
+  agent) reports the same; a run at budget b has the full run's first b
+  rows, and stops on the budget if the full run is longer, else reports
+  what the full run does.
 
 On top of that, the paper's guarantees: on Markov chains every agent
 completes within |A|·H episodes without a backtrack, and on aliased
 automata every plan agent meets the completeness bound and exhausts a
 demonstration it cannot reproduce.
+
+A budget of 0 is refused. That test and the long-automaton test are
+parametrized by learner, so a failure names its learner in the test id.
+The Markov and completeness tests draw each task once and run every learner
+on it, so the tree of consistent prefixes is built once per example; their
+assertions name the learner. (Drawing the Markov chains once per learner
+tripled that test's time.)
 """
 
 import copy
@@ -42,6 +49,8 @@ from tests.test_scripted_envs import enumerate_valid_plans
 LEARNERS = [(name, {}) for name in AGENT_NAMES] + [
     ("plots_sketch", {"n_hypotheses": 1}), ("plots_sketch", {"n_hypotheses": 2}),
     ("plots_sketch", {"optimistic": False})]
+each_learner = pytest.mark.parametrize("name, cfg", LEARNERS, ids=[
+    "-".join([name, *(f"{k}={v}" for k, v in cfg.items())]) for name, cfg in LEARNERS])
 UNEMITTED = intern_token("never-emitted")
 
 
@@ -71,7 +80,7 @@ def check_run(name: str, cfg: dict, task: Task, demo: Demonstration, seed: int, 
               data):
     """The learner's run at `budget`, checked with a rerun at the same seed
     (at any seed, for a tabular agent), a run at a budget from 1 up to its
-    row count and a run at budget 0."""
+    row count."""
     rep = run_agent(name, task, demo, seed, budget, cfg)
     check_report(rep, task, demo, budget)
     rerun_seed = data.draw(st.integers(0, 2**16), label="seed") if name in MODEL_REGISTRY else seed
@@ -84,9 +93,16 @@ def check_run(name: str, cfg: dict, task: Task, demo: Demonstration, seed: int, 
         assert cut.stop_reason == "budget"
     else:  # the same run, stopped for the same reason
         assert replace(cut, episodes=rep.episodes) == rep
-    with pytest.raises(ValueError, match="budget must be >= 1 episode"):
-        run_agent(name, task, demo, seed, 0, cfg)
     return rep
+
+
+@each_learner
+def test_a_budget_of_no_episode_is_refused(name, cfg):
+    script = (0, 1, 1)
+    task = Task(name="markov_chain", make_env=lambda: ScriptedEnv(2, script), solution=script,
+                sketch=Sketch(("b0",)), alignment=spans_from_lengths([len(script)]))
+    with pytest.raises(ValueError, match="budget must be >= 1 episode"):
+        run_agent(name, task, task.demo(), 0, 0, cfg)
 
 
 @st.composite
@@ -196,17 +212,17 @@ def long_aliased_tasks(draw):
         st.sampled_from(("s0", "s1", "s2", "s3")), min_size=len(segments), max_size=len(segments))))
 
 
+@each_learner
 @settings(max_examples=30, deadline=None)
-@given(long_aliased_tasks(), st.integers(0, 2**16))
-def test_every_learner_keeps_the_contract_on_long_aliased_automata(task, seed):
+@given(task=long_aliased_tasks(), seed=st.integers(0, 2**16))
+def test_every_learner_keeps_the_contract_on_long_aliased_automata(name, cfg, task, seed):
     """Most sketch hypotheses are garbage here; whatever the suggesters do,
     every plan agent ends with a plan that reproduces the demonstration,
     across backtracks and pool rebuilds."""
     demo = task.demo()
-    for name, cfg in LEARNERS:
-        rep = run_agent(name, task, demo, seed, 300000, cfg)
-        check_report(rep, task, demo, 300000)
-        assert rep.complete or name in MODEL_REGISTRY, (name, cfg)
+    rep = run_agent(name, task, demo, seed, 300000, cfg)
+    check_report(rep, task, demo, 300000)
+    assert rep.complete or name in MODEL_REGISTRY
 
 
 def test_the_tree_leaves_are_the_valid_plans():
