@@ -34,7 +34,7 @@ def _plots_sketch(task, demo, opts):
 
 
 def _plots_nosketch(task, demo, opts):
-    return RepeatPoolSuggester()
+    return RepeatPoolSuggester(task._rankings)
 
 
 def _bpsosa(task, demo, opts):
@@ -75,7 +75,12 @@ def check_fit(name: str, task: Task, sketch: Sketch | None, env: Env) -> None:
 def run_agent(name: str, task: Task, demo: Demonstration, seed: int,
               budget: int, cfg: dict | None = None) -> LearnReport:
     """One full learning run of the named agent on the task; `cfg` maps
-    AgentOptions field names to values."""
+    AgentOptions field names to values.
+
+    The run steps through the task's transition memo, and a plots_nosketch
+    run reads and fills the task's repeat rankings, so a later run of the
+    task finds them warm. Both are functions of the task or the plan, so a
+    warm run reports what a cold one does."""
     known = {f.name for f in fields(AgentOptions)}
     unknown = sorted(set(cfg or {}) - known)
     if unknown:

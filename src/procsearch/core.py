@@ -310,6 +310,10 @@ class Task:
 
     `make_env` must build the same dynamics on every call: the envs that
     `env` hands out, and the one `demo` records on, share the task's memo.
+    The task also keeps `_rankings`, the repeat rankings that every
+    `plots_nosketch` run of it shares (see `repeats.RepeatPoolSuggester`).
+    Both live as long as the task; the memo is a function of the task and
+    each ranking of a plan, so neither changes what a run does.
     """
 
     name: str
@@ -318,6 +322,8 @@ class Task:
     sketch: Sketch | None = None
     alignment: tuple[tuple[int, int], ...] | None = None
     _memo: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
+    _rankings: dict[bytes, bytes] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
     def env(self) -> Env:
         """An unreset env from `make_env` that walks the task's memo."""

@@ -12,7 +12,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import Field, dataclass, field, fields, replace
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from pathlib import Path
 from typing import get_type_hints
 
@@ -109,7 +109,9 @@ def _run(config: RunConfig) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seeds(text: str) -> list[range]:
+    """The seeds of a `seeds=` value, `0-9,12`, as one range per part,
+    unexpanded, so that a block's size is counted before it is built."""
     seeds = []
     for part in text.split(","):
         part = part.strip()
@@ -117,14 +119,15 @@ def _parse_seeds(text: str) -> list[int]:
             lo, hi = (int(x) for x in part.split("-", 1))
             if hi < lo:
                 raise ValueError(f"empty seed range {part!r}")
-            seeds.extend(range(lo, hi + 1))
         else:
-            seeds.append(int(part))
+            lo = hi = int(part)
+        seeds.append(range(lo, hi + 1))
     return seeds
 
 
 _AXES = ("env", "agent", "seed")  # comma lists, written singular or plural
 _SWEEP_OPTIONS = {f.name: f for f in fields(RunConfig) if f.name not in _AXES}
+MAX_BLOCK_RUNS = 10_000  # the runs one sweep block may expand to
 
 
 def parse_sweep_spec(text: str) -> list[RunConfig]:
@@ -132,14 +135,15 @@ def parse_sweep_spec(text: str) -> list[RunConfig]:
     to the cross product of its envs x agents x seeds. The other keys are
     RunConfig fields; a bad or repeated key or a bad value is a ConfigError
     quoting its line, and a run that fails `RunConfig.validate` one naming
-    its block."""
+    its block. So is a block of more than MAX_BLOCK_RUNS runs, counted from
+    its axis lengths before any run is built."""
     configs: list[RunConfig] = []
     lines = [raw.strip() for raw in text.splitlines()]
     for blank, block in groupby(lines, key=lambda line: not line):
         block = [line for line in block if not line.startswith("#")]
         if blank or not block:
             continue
-        grid = {"seed": [0]}
+        grid = {"seed": [range(1)]}
         extra = {}
         given = {}  # key (axes singular) -> the line that set it
         for line in block:
@@ -164,7 +168,13 @@ def parse_sweep_spec(text: str) -> list[RunConfig]:
                 raise ConfigError(f"bad sweep line {line!r}: {e}") from None
         if not grid.get("env") or not grid.get("agent"):
             raise ConfigError(f"sweep block starting {block[0]!r} needs envs= and agents=")
-        for env, agent, seed in product(grid["env"], grid["agent"], grid["seed"]):
+        # len() of a range past sys.maxsize raises OverflowError
+        runs = len(grid["env"]) * len(grid["agent"]) * sum(r.stop - r.start for r in grid["seed"])
+        if runs > MAX_BLOCK_RUNS:
+            raise ConfigError(f"sweep block starting {block[0]!r} has {runs} runs, "
+                              f"more than the {MAX_BLOCK_RUNS} a block may have")
+        seeds = chain.from_iterable(grid["seed"])
+        for env, agent, seed in product(grid["env"], grid["agent"], seeds):
             config = RunConfig(env, agent, seed, **extra)
             try:
                 config.validate()

@@ -7,7 +7,13 @@ confirmation; anything else was already counted when it last matched the
 end, so the counts stay exact overlapping counts. A backtrack takes back
 the occurrences that ended at the removed position. Suggestions follow the
 most-repeated candidates whose prefix matches the current plan suffix,
-found at the ends of equal-count chains by bisecting the counts.
+found at the ends of equal-count chains by bisecting the counts; a chain
+that a longer plan suffix extends at the same count is not looked up.
+
+The counts are each run's own, cut back by its backtracks. The ranking is a
+function of the plan alone, so it is computed once per plan into a dict
+keyed by the plan bytes, which every `plots_nosketch` run of a task shares
+and which grows by at most one entry per distinct plan ranked.
 """
 
 from __future__ import annotations
@@ -107,17 +113,27 @@ class RepeatStore:
         kid k go on alike while a candidate repeats as often as k, and counts
         never rise, so the best candidate through k, that chain's end, is
         bisected from the last k in the plan after trying the plan's end.
-        The r go shortest first, up to the first of length 2+ not repeated.
+        The r go longest first, from the longest plan suffix that repeats,
+        or the last action when none does. A kid k = r + a is skipped when
+        the next longer suffix x + r has a kid x + k with k's count: every
+        occurrence of k then follows x, so x + k's chain end is x plus k's
+        or longer, and it (or in turn a longer one) outranks k's for the
+        same action.
         """
         kids, counts, plan = self.kids, self.counts, self.plan
         t = len(plan)
+        longest = 1
+        while longest < t and plan[t - longest - 1:] in counts:
+            longest += 1
         best: dict[Action, tuple] = {}
-        for j in range(1, t + 1):
-            root = plan[t - j:]
-            if j > 1 and root not in counts:
-                break
-            for k in kids.get(root, ()):
-                c = counts[k]
+        longer: dict[Action, int] = {}  # action -> count of the next longer suffix's kid
+        for j in range(longest, 0, -1):
+            here = {}
+            for k in kids.get(plan[t - j:], ()):
+                a, c = k[j], counts[k]
+                here[a] = c
+                if longer.get(a) == c:
+                    continue
                 p = plan.rfind(k)
                 e = plan[p:]
                 if counts.get(e) != c:
@@ -130,25 +146,31 @@ class RepeatStore:
                             hi = mid
                     e = plan[p:lo]
                 key = (-c, -len(e), e)
-                best[k[j]] = min(best.get(k[j], key), key)
+                best[a] = min(best.get(a, key), key)
+            longer = here
         return sorted(best, key=best.__getitem__)
 
 
 class RepeatPoolSuggester(ActionSuggester):
-    """Sketch-free agent: bias exploration toward repeated subsequences."""
+    """Sketch-free agent: bias exploration toward repeated subsequences.
 
-    def __init__(self):
+    The store is this run's; `rankings` maps a plan (the store's `plan`
+    bytes) to the store's ranking after it, as bytes, filled when a suggest
+    first needs it. A ranking is a function of the plan alone, so suggesters
+    may share one dict: `run_agent` hands every run of a task the task's.
+    Without a dict the suggester keeps a private one.
+    """
+
+    def __init__(self, rankings: dict[bytes, bytes] | None = None):
         self.store = RepeatStore()
-        # rankings[n]: the store's ranking after the plan's first n actions,
-        # None until a suggest needs it; the store is a function of the
-        # plan, so a backtrack cuts it back
-        self.rankings: list[list[Action] | None] = [[]]
+        self.rankings = {} if rankings is None else rankings
 
     def suggest(self, plan: PartialPlan, excluded: set[Action]) -> Action | None:
         """Best-ranked repeat continuation outside `excluded`."""
-        ranking = self.rankings[-1]
+        key = self.store.plan
+        ranking = self.rankings.get(key)
         if ranking is None:
-            ranking = self.rankings[-1] = self.store.suggest_ranked()
+            ranking = self.rankings[key] = bytes(self.store.suggest_ranked())
         for a in ranking:
             if a not in excluded:
                 return a
@@ -156,11 +178,9 @@ class RepeatPoolSuggester(ActionSuggester):
 
     def on_confirmed(self, plan: PartialPlan) -> None:
         self.store.update(bytes(plan.confirmed))
-        self.rankings.append(None)
 
     def on_backtrack(self, n: int) -> None:
         self.store.truncate(n)
-        del self.rankings[n + 1:]
 
 
 def brute_force_repeat_counts(plan) -> dict[bytes, int]:

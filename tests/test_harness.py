@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from contextlib import nullcontext
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -116,6 +117,32 @@ def test_parse_sweep_spec_names_the_block_of_a_bad_value(block, reason):
     first = block.split("\n")[0]
     with pytest.raises(ConfigError, match=re.escape(f"sweep block starting {first!r}: {reason}")):
         parse_sweep_spec(f"envs=chain\nagents=bps\n\n{block}\n")  # the first block is sound
+
+
+def test_a_sweep_block_is_capped_by_its_run_count(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_BLOCK_RUNS", 6)
+    assert len(parse_sweep_spec("envs=chain,scripted\nagents=bps\nseeds=0-1,4\n")) == 6
+    # the first block is sound; the second has 7 runs
+    with pytest.raises(ConfigError, match=re.escape("sweep block starting 'envs=gem' has 7 runs")):
+        parse_sweep_spec("envs=chain\nagents=bps\n\nenvs=gem\nagents=bps\nseeds=0-5,9\n")
+
+
+def test_an_oversized_sweep_block_is_refused_before_its_seeds_are_listed():
+    """A block's runs are counted from its axis lengths, so a seed range one
+    digit longer than meant costs nothing: 10^6 seeds listed as ints would
+    take over 30 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"'envs=chain' has 1000000 runs, more than the {harness.MAX_BLOCK_RUNS}")):
+            parse_sweep_spec("envs=chain\nagents=bps\nseeds=0-999999\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a range past sys.maxsize is counted too
+    with pytest.raises(ConfigError, match=f"has {10**20} runs"):
+        parse_sweep_spec(f"envs=chain\nagents=bps\nseeds=1-{10**20}\n")
 
 
 def test_run_agent_rejects_unknown_options():

@@ -16,6 +16,10 @@ or `MODEL_REGISTRY` needs no run-contract test of its own. Each run checks:
   rows, and stops on the budget if the full run is longer, else reports
   what the full run does.
 
+Runs of one task share its transition memo and its repeat rankings, so
+plots_nosketch runs one after another on a registered task or an aliased
+automaton must each report what they do on a fresh copy of the task.
+
 On top of that, the paper's guarantees: on Markov chains every agent
 completes within |A|·H episodes without a backtrack, and on aliased
 automata every plan agent meets the completeness bound and exhausts a
@@ -41,6 +45,7 @@ from procsearch.agents import AGENT_NAMES, MODEL_REGISTRY, SUGGESTER_REGISTRY, r
 from procsearch.core import (
     Demonstration, Sketch, Task, intern_token, record_demonstration, spans_from_lengths,
 )
+from procsearch.envs import ENV_REGISTRY
 from procsearch.envs.scripted import ScriptedEnv, random_aliased_env
 from procsearch.search import UnsatisfiableDemo, replay_matches
 from tests.oracles import consistent_prefixes
@@ -223,6 +228,22 @@ def test_every_learner_keeps_the_contract_on_long_aliased_automata(name, cfg, ta
     rep = run_agent(name, task, demo, seed, 300000, cfg)
     check_report(rep, task, demo, 300000)
     assert rep.complete or name in MODEL_REGISTRY
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(ENV_REGISTRY)).map(lambda env: ENV_REGISTRY[env]()),
+                 aliased_tasks()),
+       st.lists(st.integers(0, 2**16), min_size=2, max_size=3))
+def test_plots_nosketch_runs_one_after_another_report_as_on_a_fresh_task(task, seeds):
+    """Every plots_nosketch run of a task shares the task's repeat rankings
+    (and every run its transition memo): runs at several seeds, each after
+    the others on one task, report what each reports on a fresh copy of the
+    task, with a memo and rankings of its own."""
+    demo = task.demo()
+    for seed in seeds:
+        assert run_agent("plots_nosketch", task, demo, seed, 300000) == \
+            run_agent("plots_nosketch", replace(task), demo, seed, 300000), seed
+    assert task._rankings  # the runs went through the task's rankings
 
 
 def test_the_tree_leaves_are_the_valid_plans():

@@ -12,6 +12,10 @@ test of its own. After each op:
   a confirmation that does not extend the plan by one action and a cut
   outside [0, len(plan)].
 
+Repeat suggesters may share one rankings dict, as every plots_nosketch run
+of a task does: two of them on one dict, fed interleaved ops, suggest what
+suggesters with dicts of their own suggest.
+
 The oracles of what each suggests are in `test_sketch` and `test_repeats`.
 """
 
@@ -35,6 +39,9 @@ MOTIF = "motif"
 
 def cut(k: int) -> tuple[str, int]:
     return "cut", k
+
+
+OPS = (0, 1, 2, MOTIF, MOTIF, *map(cut, range(4)))
 
 
 class Entry(NamedTuple):
@@ -94,6 +101,27 @@ def suggestions(sug, plan) -> list:
     return got
 
 
+def apply(op, sug, plan: PartialPlan, motif: list) -> None:
+    """Confirm an action or the motif, up to MAX_PLAN actions, or cut."""
+    if op == MOTIF or op in range(N_ACTIONS):
+        for a in motif if op == MOTIF else [op]:
+            if plan.frontier < MAX_PLAN:
+                sug.on_confirmed(confirm(plan, a))
+    elif (n := max(0, plan.frontier - op[1])) == plan.frontier - 1:
+        backtrack(plan, sug)  # as the search cuts, one action at a time
+    else:
+        del plan.confirmed[n:], plan.ruled_out[n + 1:]
+        sug.on_backtrack(n)
+
+
+def fed(sug, plan: PartialPlan):
+    """`sug`, fresh, fed the plan one action at a time."""
+    fed_plan = PartialPlan(N_ACTIONS)
+    for a in plan.confirmed:
+        sug.on_confirmed(confirm(fed_plan, a))
+    return sug
+
+
 def check_refusals(entry: Entry, sug, plan) -> None:
     n, state = plan.frontier, entry.view(sug)
     wrongs = [(plan.confirmed + [0, 0])[:k] for k in (n, n + 2, n - 1)[:3 if n else 2]]
@@ -113,7 +141,7 @@ def check_refusals(entry: Entry, sug, plan) -> None:
 def test_a_suggester_is_a_function_of_the_plan(entry):
     @settings(max_examples=entry.examples, deadline=None)
     @given(sketches(), st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=5),
-           st.lists(st.sampled_from((0, 1, 2, MOTIF, MOTIF, *map(cut, range(4)))), max_size=40))
+           st.lists(st.sampled_from(OPS), max_size=40))
     # cuts of several levels at once, of none, and past the plan's start
     @example((["b0", "b1", "b0"], [1, 2, 1]), [0, 1],
              [MOTIF, 2, MOTIF, MOTIF, cut(3), MOTIF, 1, cut(2), cut(0), MOTIF, cut(3), cut(3), 2,
@@ -131,25 +159,33 @@ def test_a_suggester_is_a_function_of_the_plan(entry):
         sug = entry.make(sketch, spans)
         plan = PartialPlan(N_ACTIONS)
         for op in ops:
-            if op == MOTIF or op in range(N_ACTIONS):
-                for a in motif if op == MOTIF else [op]:
-                    if plan.frontier < MAX_PLAN:
-                        sug.on_confirmed(confirm(plan, a))
-            elif (n := max(0, plan.frontier - op[1])) == plan.frontier - 1:
-                backtrack(plan, sug)  # as the search cuts, one action at a time
-            else:
-                del plan.confirmed[n:], plan.ruled_out[n + 1:]
-                sug.on_backtrack(n)
+            apply(op, sug, plan, motif)
             if entry.view is not stateless:
                 check_refusals(entry, sug, plan)
             got = suggestions(sug, plan)
-            fresh, fed = entry.make(sketch, spans), PartialPlan(N_ACTIONS)
-            for a in plan.confirmed:
-                fresh.on_confirmed(confirm(fed, a))
+            fresh = fed(entry.make(sketch, spans), plan)
             assert got == suggestions(fresh, plan)
             assert entry.view(sug) == entry.view(fresh)
 
     holds()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=5),
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from(OPS)), max_size=40))
+def test_repeat_suggesters_sharing_their_rankings_suggest_as_alone(motif, ops):
+    """`run_agent` hands every plots_nosketch run of a task one rankings
+    dict. Two repeat suggesters on one dict, each fed its own ops with a
+    common motif, so that their plans share prefixes, suggest after every
+    op what a fresh suggester with a dict of its own suggests."""
+    rankings = {}
+    sugs = [RepeatPoolSuggester(rankings), RepeatPoolSuggester(rankings)]
+    plans = [PartialPlan(N_ACTIONS), PartialPlan(N_ACTIONS)]
+    for i, op in ops:
+        apply(op, sugs[i], plans[i], motif)
+        for sug, plan in zip(sugs, plans):
+            assert suggestions(sug, plan) == suggestions(fed(RepeatPoolSuggester(), plan), plan)
+            assert bytes(plan.confirmed) in rankings
 
 
 @pytest.mark.parametrize("make, reason", [
