@@ -16,9 +16,11 @@ or `MODEL_REGISTRY` needs no run-contract test of its own. Each run checks:
   rows, and stops on the budget if the full run is longer, else reports
   what the full run does.
 
-Runs of one task share its transition memo and its repeat rankings, so
-plots_nosketch runs one after another on a registered task or an aliased
-automaton must each report what they do on a fresh copy of the task.
+Runs of one task share its transition memo, its repeat rankings and its
+sketch-pool stores, so plots_nosketch runs one after another on a
+registered task or an aliased automaton, and plots_sketch runs at mixed
+settings on long aliased automata, which make them backtrack, must each
+report what they do on a fresh copy of the task.
 
 On top of that, the paper's guarantees: on Markov chains every agent
 completes within |A|·H episodes without a backtrack, and on aliased
@@ -244,6 +246,30 @@ def test_plots_nosketch_runs_one_after_another_report_as_on_a_fresh_task(task, s
         assert run_agent("plots_nosketch", task, demo, seed, 300000) == \
             run_agent("plots_nosketch", replace(task), demo, seed, 300000), seed
     assert task._rankings  # the runs went through the task's rankings
+
+
+SKETCH_SETTINGS = [cfg for name, cfg in LEARNERS if name == "plots_sketch"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_aliased_tasks(),
+       st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(SKETCH_SETTINGS)),
+                min_size=3, max_size=5))
+def test_plots_sketch_runs_one_after_another_report_as_on_a_fresh_task(task, runs):
+    """Every plots_sketch run of a task with the same settings shares one
+    pool store of the task's, and pops the plans its backtracks cut: runs at
+    several seeds and settings, each after the others on one task, report
+    what each reports on a fresh copy of the task. The fresh copy's store
+    then holds exactly the checkpoints of the run's plan prefixes."""
+    demo = task.demo()
+    for seed, cfg in runs:
+        fresh = replace(task)
+        rep = run_agent("plots_sketch", fresh, demo, seed, 300000, cfg)
+        assert run_agent("plots_sketch", task, demo, seed, 300000, cfg) == rep, (seed, cfg)
+        [store] = fresh._pool_stores.values()
+        plan = bytes(rep.plan)
+        assert sorted(store) == [plan[:d] for d in range(1, len(plan) + 1)], (seed, cfg)
+    assert task._pool_stores  # the runs went through the task's stores
 
 
 def test_the_tree_leaves_are_the_valid_plans():

@@ -12,6 +12,12 @@ test of its own. After each op:
   a confirmation that does not extend the plan by one action and a cut
   outside [0, len(plan)].
 
+A warm sketch entry starts on a checkpoint store that another suggester on
+the same sketch filled with an unrelated op sequence, as a plots_sketch run
+starts on its task's store; it too must equal the fresh suggester, whose
+store is private, after every op. A private store holds exactly the plan's
+prefixes, and a rebuild restores the adoption count a fresh pool has.
+
 Repeat suggesters may share one rankings dict, as every plots_nosketch run
 of a task does: two of them on one dict, fed interleaved ops, suggest what
 suggesters with dicts of their own suggest.
@@ -46,9 +52,10 @@ OPS = (0, 1, 2, MOTIF, MOTIF, *map(cut, range(4)))
 
 class Entry(NamedTuple):
     name: str
-    make: Callable  # (sketch, alignment) -> suggester
+    make: Callable  # (sketch, alignment) -> suggester; a warm entry's takes a store too
     view: Callable  # suggester -> a snapshot of the state the plan fixes
     examples: int = 15  # random op sequences, on top of the @examples
+    warm: bool = False  # the suggester starts on a store that warm-up ops filled
 
 
 def stateless(sug) -> tuple:
@@ -56,10 +63,14 @@ def stateless(sug) -> tuple:
 
 
 def sketch_view(sug) -> tuple:
-    """Active and frozen keys, the active ones' order by age, the checkpoint count."""
-    active = sug.pool.active
-    return ([h.key() for h in active], [h.key() for h in sug.pool.frozen],
-            sorted(range(len(active)), key=lambda i: active[i].created), len(sug.pool.checkpoints))
+    """Active and frozen keys, the active ones' order by age, the count of
+    adopted hypotheses that the next adoption's age follows, the checkpoint
+    count."""
+    pool = sug.pool
+    active = pool.active
+    return ([h.key() for h in active], [h.key() for h in pool.frozen],
+            sorted(range(len(active)), key=lambda i: active[i].created), pool._created,
+            len(pool.checkpoints))
 
 
 def repeat_view(sug) -> tuple:
@@ -67,16 +78,20 @@ def repeat_view(sug) -> tuple:
     return dict(store.counts), store.plan, {k: sorted(v) for k, v in store.kids.items()}
 
 
-def sketch_entry(n_active: int, optimistic: bool, horizon: int) -> Entry:
-    return Entry(f"sketch-n{n_active}-{'opt' if optimistic else 'plain'}-h{horizon}",
-                 lambda sketch, spans: SketchPoolSuggester(sketch, horizon, n_active, optimistic),
-                 sketch_view, examples=25)
+def sketch_entry(n_active: int, optimistic: bool, horizon: int, warm: bool = False) -> Entry:
+    return Entry(f"{'warm-' if warm else ''}sketch-n{n_active}-"
+                 f"{'opt' if optimistic else 'plain'}-h{horizon}",
+                 lambda sketch, spans, store=None: SketchPoolSuggester(
+                     sketch, horizon, n_active, optimistic, store),
+                 sketch_view, examples=25, warm=warm)
 
 
 SUGGESTERS = [
     Entry("uniform", lambda sketch, spans: UniformSuggester(), stateless),
     # horizon 2 gives the smallest frozen cap (16), which long plans overflow
     *(sketch_entry(n, opt, h) for n in (1, 2, 4) for opt in (True, False) for h in (2, 14)),
+    *(sketch_entry(n, opt, h, warm=True) for n, opt, h in ((1, True, 14), (2, False, 2),
+                                                           (4, True, 2), (4, True, 14))),
     Entry("repeats", lambda sketch, spans: RepeatPoolSuggester(), repeat_view, examples=250),
     Entry("oracle", lambda sketch, spans: OracleAlignedSuggester(spans, sketch), stateless),
 ]
@@ -137,26 +152,43 @@ def check_refusals(entry: Entry, sug, plan) -> None:
     assert entry.view(sug) == state
 
 
+def warmed(entry: Entry, sketch, spans, motif: list, warmup: list):
+    """A suggester of `entry` on a store that another one filled with `warmup`."""
+    store = {}
+    other, plan = entry.make(sketch, spans, store), PartialPlan(N_ACTIONS)
+    for op in warmup:
+        apply(op, other, plan, motif)
+    return entry.make(sketch, spans, store)
+
+
 @pytest.mark.parametrize("entry", SUGGESTERS, ids=lambda e: e.name)
 def test_a_suggester_is_a_function_of_the_plan(entry):
     @settings(max_examples=entry.examples, deadline=None)
     @given(sketches(), st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=5),
-           st.lists(st.sampled_from(OPS), max_size=40))
+           st.lists(st.sampled_from(OPS), max_size=40),
+           st.lists(st.sampled_from(OPS), max_size=40))  # the warm-up, for a warm entry
     # cuts of several levels at once, of none, and past the plan's start
     @example((["b0", "b1", "b0"], [1, 2, 1]), [0, 1],
              [MOTIF, 2, MOTIF, MOTIF, cut(3), MOTIF, 1, cut(2), cut(0), MOTIF, cut(3), cut(3), 2,
-              cut(3)])
-    @example((["b0", "b0", "b0"], [1, 1, 1]), [1], [1, 1, 1, cut(0)])  # frozen ones to re-create
+              cut(3)], [MOTIF, MOTIF, MOTIF, MOTIF])
+    @example((["b0", "b0", "b0"], [1, 1, 1]), [1], [1, 1, 1, cut(0)],  # frozen ones to re-create
+             [1, 1, 1])
     # a plan that overflows the smallest frozen cap, then cuts back to the empty plan
     @example((["b0", "b1"] * 4, [1] * 8), [0, 1, 1, 0, 2],
-             [MOTIF] * 5 + [cut(1), 0, cut(1), 1, cut(1)] + [cut(1)] * 6 + [cut(3)] * 6)
+             [MOTIF] * 5 + [cut(1), 0, cut(1), 1, cut(1)] + [cut(1)] * 6 + [cut(3)] * 6,
+             [MOTIF] * 5)
     # a freeze undone, twice
-    @example((["b1", "b1"], [1, 1]), [1], [1, 1, cut(1), 1, cut(1), 2, cut(1), cut(1)])
-    # a cut, then regrowth to the same length with other actions
-    @example((["b0"], [2]), [0, 1], [MOTIF, MOTIF, MOTIF, cut(1), 2])
-    def holds(task, motif, ops):
+    @example((["b1", "b1"], [1, 1]), [1], [1, 1, cut(1), 1, cut(1), 2, cut(1), cut(1)],
+             [1, 1, 2])
+    # a cut, then regrowth to the same length with other actions; the
+    # warm-up's chain diverges from the plan after one action
+    @example((["b0"], [2]), [0, 1], [MOTIF, MOTIF, MOTIF, cut(1), 2], [0, 2, MOTIF, MOTIF])
+    def holds(task, motif, ops, warmup):
         sketch, spans = Sketch(tuple(task[0])), spans_from_lengths(task[1])
-        sug = entry.make(sketch, spans)
+        if entry.warm:
+            sug = warmed(entry, sketch, spans, motif, warmup)
+        else:
+            sug = entry.make(sketch, spans)
         plan = PartialPlan(N_ACTIONS)
         for op in ops:
             apply(op, sug, plan, motif)
@@ -168,6 +200,37 @@ def test_a_suggester_is_a_function_of_the_plan(entry):
             assert entry.view(sug) == entry.view(fresh)
 
     holds()
+
+
+@settings(max_examples=50, deadline=None)
+@given(sketches(), st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=5),
+       st.lists(st.sampled_from(OPS), max_size=40))
+@example((["b0", "b0", "b1"], [1, 1, 1]), [0, 1], [MOTIF, MOTIF, cut(3), MOTIF, 2])
+def test_a_private_store_holds_the_checkpoints_of_the_plan_prefixes(task, motif, ops):
+    """A pool built alone keeps a private store, which after any op holds
+    exactly the pool's own checkpoints of the plan's non-empty prefixes."""
+    sug, plan = SketchPoolSuggester(Sketch(tuple(task[0])), 14, 2), PartialPlan(N_ACTIONS)
+    for op in ops:
+        apply(op, sug, plan, motif)
+        pool, pb = sug.pool, bytes(plan.confirmed)
+        assert sorted(pool.store) == [pb[:d] for d in range(1, len(pb) + 1)]
+        assert all(pool.store[pb[:d]][0] is pool.checkpoints[d] for d in range(1, len(pb) + 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sketches(), st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=5),
+       st.lists(st.sampled_from(OPS), max_size=40))
+# a cut of three actions on a repeated label, then regrowth with new adoptions
+@example((["b0", "b0", "b1"], [1, 1, 1]), [0, 1], [MOTIF, MOTIF, cut(3), MOTIF, 2])
+def test_a_rebuild_restores_the_adoption_count_of_a_fresh_pool(task, motif, ops):
+    """After a rebuild and new confirmations, the pool's count of adopted
+    hypotheses, which gives the next one its age, is a fresh pool's for the
+    plan."""
+    sketch = Sketch(tuple(task[0]))
+    sug, plan = SketchPoolSuggester(sketch, 14, 2), PartialPlan(N_ACTIONS)
+    for op in ops:
+        apply(op, sug, plan, motif)
+        assert sug.pool._created == fed(SketchPoolSuggester(sketch, 14, 2), plan).pool._created
 
 
 @settings(max_examples=100, deadline=None)
