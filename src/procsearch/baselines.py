@@ -29,10 +29,12 @@ reason "fixed_point".
 
 A greedy choice can change only when a row fills, so an episode after one
 in which no row filled repeats that episode's lead, the steps before its
-first untried action: the loop replays the lead with one `Env.run` and
-chooses from there. Edges added to a row that is not full change no value,
-a full row stays full, and the world is deterministic, so every episode is
-the one a step-by-step loop would take.
+first untried action: the loop restores the env position it marked at
+that action and chooses from there. Edges added to a row that is not full
+change no value, a full row stays full, and the world is deterministic, so
+every episode is the one a step-by-step loop would take. A UCB fill
+changes only the filled token's choice, which no step of the lead reads,
+so UCB keeps its lead across fills too.
 """
 
 from __future__ import annotations
@@ -75,14 +77,15 @@ def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> L
     occurrence in the demonstration (None if it occurs only last).
     `make_policy(succ, expect, n_actions)` returns the agent's
     `greedy(s, t)`, the action to take in a full row s at position t, and
-    `row_filled(s)`, called once row s is full.
+    `row_filled(s)`, called once row s is full, which says whether the
+    greedy choices of the steps before the filling one are unchanged.
 
     `lead` is the position of the previous episode's first untried step,
-    and 0 if a row filled in that episode or it tried nothing new. The
-    steps before it are greedy steps in full rows, so the next episode
-    takes them again: it replays `prev[:lead]` with one `run` and starts
-    choosing at `t = lead`, with the previous episode's match count cut to
-    the lead.
+    and 0 if it tried nothing new or a fill changed the choices before it.
+    The steps before it are greedy steps in full rows, so the next episode
+    takes them again: it restores `at`, the position marked at the lead
+    (without a mark, it resets and replays them), and starts choosing at
+    `t = lead`, with the previous episode's match count cut to the lead.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1 episode")
@@ -98,34 +101,38 @@ def _tabular_learn(env: Env, demo: Demonstration, budget: int, make_policy) -> L
         expect[index[tok]] = index[nxt]
     succ = [[] for _ in expect]
     greedy, row_filled = make_policy(succ, expect, n_act)
-    of, reset, run, step = index.get, env.reset, env.run, env.step
+    of, reset, step, mark, restore = index.get, env.reset, env.step, env.mark, env.restore
     rows = []
     total_steps = 0
     prev = []  # no episode has zero steps: the start token is never _TERM
     lead = matched = best_matched = 0
+    at = s_at = None
     for ep in range(1, budget + 1):
-        tok = reset()
-        if lead:
-            tok = run(prev[:lead])
-        s = of(tok, _TERM)
         actions = prev[:lead]
+        if lead and at is not None:
+            restore(at)
+            s = s_at
+        else:
+            tok = reset()
+            for a in actions:
+                tok = step(a)
+            s = of(tok, _TERM)
         matched = min(matched, lead)
-        lead = None  # this episode's first untried position; 0 once a row fills
+        lead = None  # this episode's first untried position; 0 once a fill changes it
         for t in range(len(actions), horizon):
             if s == _TERM:
                 break
             row = succ[s]
             untried = len(row) < n_act
             a = len(row) if untried else greedy(s, t)
+            if untried and lead is None:
+                lead, at, s_at = t, mark(), s
             tok = step(a)
             z = of(tok, _TERM)
             actions.append(a)
             if untried:
-                if lead is None:
-                    lead = t
                 row.append(z)
-                if len(row) == n_act:
-                    row_filled(s)
+                if len(row) == n_act and not row_filled(s):
                     lead = 0
             if matched == t and tok == obs[t]:
                 matched += 1
@@ -197,8 +204,9 @@ def rmax_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
                     stack.pop()
             return memo[key][1]
 
-        def row_filled(s: int) -> None:
+        def row_filled(s: int) -> bool:
             memo.clear()
+            return False  # any value upstream may change
 
         return greedy, row_filled
 
@@ -218,9 +226,10 @@ def ucb_learn(env: Env, demo: Demonstration, budget: int) -> LearnReport:
         def greedy(s: int, t: int) -> int:
             return best[s]
 
-        def row_filled(s: int) -> None:
+        def row_filled(s: int) -> bool:
             row, e = succ[s], expect[s]
             best[s] = row.index(e) if e in row else 0
+            return True  # only s's choice changed, and no earlier step is at s
 
         return greedy, row_filled
 

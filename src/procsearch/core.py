@@ -60,11 +60,12 @@ class Env:
     start row and token too, so `_start` runs at the first reset that
     succeeds on a memo and never again for its envs.
 
-    `run(actions)` steps through a batch with the checks made once for the
-    whole batch, and `burn(rng, m)` takes `m` steps with actions drawn as
+    `burn(rng, m)` takes `m` steps with actions drawn as
     `rng.randrange(n_actions)` draws them, each walked in the loop that
-    draws it; both are equal to a loop of `step`. A subclass or a patch that
-    overrides `step` gets that loop, so it sees every action.
+    draws it, equal to a loop of `step`; `mark()` gives the position and
+    `restore(mark)` returns to it. A subclass or a patch that overrides
+    `step` sees every action: `burn` is then that loop, and `mark()` gives
+    None, so callers reset and replay through `step`.
     """
 
     n_actions: int = 0
@@ -87,48 +88,6 @@ class Env:
         if not isinstance(a, int) or not (0 <= a < self.n_actions):
             raise ContractViolation(f"invalid action id {a!r} (|A|={self.n_actions})")
         self._row, tok = self._row[a] or self._fill(self._row, a)
-        return tok
-
-    def run(self, actions) -> Obs | None:
-        """Step through the iterable `actions`, which is read once; return
-        the last token, or None for an empty batch.
-
-        The same state and token as a loop of `step`, with its checks made
-        once for the whole batch: a batch that fails them takes no step.
-        The batch check compares actions with the ids by equality, so an
-        int-like index such as numpy's int64 passes where `step` refuses
-        it. When `step` is overridden, by a subclass or a patch on `Env`,
-        `run` is that loop, so the override sees every action.
-        """
-        if type(self).step is not _ENV_STEP:
-            tok = None
-            for a in actions:
-                tok = self.step(a)
-            return tok
-        if self._row is None:
-            raise ContractViolation("run() before reset()")
-        if not isinstance(actions, (list, tuple)):  # the check below reads it too
-            actions = tuple(actions)
-        n = self.n_actions
-        ids = _ACTION_IDS.get(n) or _ACTION_IDS.setdefault(n, frozenset(range(n)))
-        try:
-            valid = ids.issuperset(actions)
-        except TypeError:  # an unhashable action
-            valid = False
-        if not valid:
-            bad = next(a for a in actions if not (isinstance(a, int) and 0 <= a < n))
-            raise ContractViolation(f"invalid action id {bad!r} (|A|={n})")
-        row = self._row
-        nxt = row, None
-        for a in actions:
-            try:
-                nxt = row[a]
-            except TypeError:  # equal to an id but not an int, such as 1.0
-                raise ContractViolation(f"invalid action id {a!r} (|A|={n})") from None
-            if nxt is None:
-                nxt = self._fill(row, a)
-            row = nxt[0]
-        self._row, tok = nxt
         return tok
 
     def burn(self, rng, m: int) -> None:
@@ -164,6 +123,23 @@ class Env:
             row = (row[a] or self._fill(row, a))[0]
         self._row = row
 
+    def mark(self) -> list | None:
+        """The current position, for `restore`; None before the first reset,
+        and None while `step` is overridden, so that the caller replays
+        through `step` and the override sees every action."""
+        return self._row if type(self).step is _ENV_STEP else None
+
+    def restore(self, mark: list) -> None:
+        """Return to a position that `mark()` gave on an env sharing this
+        memo; refuse anything else and leave the position as it was."""
+        try:
+            mine = self._rows.get(mark[-1]) is mark
+        except (TypeError, LookupError):  # not a row at all
+            mine = False
+        if not mine:
+            raise ContractViolation("restore() of a mark that is not a row of this env's memo")
+        self._row = mark
+
     @property
     def state(self):
         """The latent state; the start state until the first reset."""
@@ -188,8 +164,7 @@ class Env:
         raise NotImplementedError
 
 
-_ENV_STEP = Env.step  # `run` and `burn` walk the rows only while this is the step in use
-_ACTION_IDS: dict[int, frozenset[int]] = {}  # n -> frozenset(range(n)), for `run`
+_ENV_STEP = Env.step  # `burn` walks the rows and `mark` gives a position only under this step
 
 
 @dataclass(frozen=True)

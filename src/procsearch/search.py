@@ -12,13 +12,15 @@ one step and rules the unrolled action out at that position.
 Action selection is pluggable: BPS uses a uniform suggester, the smarter
 agents plug in sketch-hypothesis, repeat-mining or oracle-aligned suggesters.
 
-One loop, `_episodes`, runs every episode: it replays the prefix with one
-`env.run`, so the environment checks it once, steps the frontier through
-`env.step`, and burns out with one `env.burn`, which draws each action as
-`rng.randrange(n_actions)` would. `learn` runs it to the budget and
-`run_episode` for one episode. When `run_episode` is overridden by a patch on
-this module, `learn` calls the override once per episode instead, so it sees
-every episode, as an override of `Env.step` sees every step of `Env.run`.
+One loop, `_episodes`, runs every episode: it restores the `env.mark()`
+taken when the frontier's last action was confirmed, instead of replaying
+the prefix (its first episode resets and replays), steps the frontier
+through `env.step`, and burns out with one `env.burn`, which draws each
+action as `rng.randrange(n_actions)` would. `learn` runs it to the budget
+and `run_episode` for one episode. When `run_episode` is overridden by a
+patch on this module, `learn` calls the override once per episode instead,
+so it sees every episode, as an override of `Env.step` sees every step
+(`mark()` then gives None, and every episode replays).
 """
 
 from __future__ import annotations
@@ -142,24 +144,31 @@ def _episodes(env: Env, demo: Demonstration, plan: PartialPlan, suggester: Actio
     """
     horizon, n = demo.horizon, plan.n_actions
     confirmed, ruled_out, observations = plan.confirmed, plan.ruled_out, demo.observations
-    reset, run, step, burn = env.reset, env.run, env.step, env.burn
+    reset, step, burn, mark, restore = env.reset, env.step, env.burn, env.mark, env.restore
     suggest, on_confirmed, on_failed = suggester.suggest, suggester.on_confirmed, suggester.on_failed
     randrange = rng.randrange
     episodes = total_steps = backtracks = 0
     steps = len(confirmed)  # the frontier
+    marks = [None] * (steps + 1)  # marks[i]: the env after confirmed[:i], or None to replay
     rows = []
     while steps < horizon and episodes < budget:
         while len(ruled_out[steps]) >= n:
             backtrack(plan, suggester)
             backtracks += 1
             steps -= 1
+            del marks[steps + 1:]
         episodes += 1
         if per_episode:
             taken = run_episode(env, demo, plan, suggester, rng).steps_taken
             steps = len(confirmed)
         else:
-            reset()
-            run(confirmed)
+            if marks[steps] is None:
+                reset()
+                for a in confirmed:
+                    step(a)
+                marks[steps] = mark()
+            else:
+                restore(marks[steps])
             taken = horizon  # an episode completes the plan or burns out
             while steps < horizon:
                 # not exhausted: backtracked above, and each confirmation opens an empty ledger
@@ -171,6 +180,7 @@ def _episodes(env: Env, demo: Demonstration, plan: PartialPlan, suggester: Actio
                 if step(a) == observations[steps]:
                     confirmed.append(a)
                     ruled_out.append(set())
+                    marks.append(mark())
                     steps += 1
                     on_confirmed(plan)
                 else:

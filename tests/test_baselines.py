@@ -135,31 +135,50 @@ def test_piano_fixed_point_matches_the_reference_loop(fn, oracle):
     assert rep == oracle(task.env(), demo, budget=30000)
 
 
-@pytest.mark.parametrize("fn", [rmax_learn, ucb_learn])
-def test_cpr_episodes_replay_their_lead_in_one_run(fn):
-    # an episode replays the previous one's steps before its first untried
-    # action with one run, unless a row filled in between or that action
-    # was the first; every other step goes through step
+@pytest.mark.parametrize("fn, restores, restored, stepped", [
+    # 4,115 episodes restore a lead and then step 4,308 times; the other 219
+    # (the first, the 22 after an untried action at the start and the 196
+    # after a row fill) step 19,528 times
+    (rmax_learn, 4115, 405230, 23836),
+    # UCB keeps its lead across a row fill: 4,310 episodes restore one, and
+    # only the first and the 23 after an untried action at the start reset
+    (ucb_learn, 4310, 424340, 4726),
+])
+def test_cpr_episodes_restore_their_lead(fn, restores, restored, stepped):
+    # an episode restores the position marked at the previous one's first
+    # untried action, unless a fill changed the choices before it or that
+    # action was the first; every other step goes through step, and the
+    # report counts the restored steps too
     task = make_task("cpr")
-    env, steps, batches = task.env(), [], []
-    step, run = env.step, env.run
+    env, steps, starts = task.env(), [], []  # starts: each episode's steps not taken
+    reset, step, mark, restore = env.reset, env.step, env.mark, env.restore
+    depth = [0, 0]  # steps since the episode started, and at the last mark
+
+    def counted_reset():
+        depth[0] = 0
+        starts.append(0)
+        return reset()
 
     def counted_step(a):
+        depth[0] += 1
         steps.append(a)
         return step(a)
 
-    def counted_run(actions):
-        batches.append(len(actions))
-        return run(actions)
+    def counted_mark():
+        depth[1] = depth[0]
+        return mark()
 
-    env.step, env.run = counted_step, counted_run
+    def counted_restore(at):
+        depth[0] = depth[1]  # the loop restores only its latest mark
+        starts.append(depth[0])
+        return restore(at)
+
+    env.reset, env.step, env.mark, env.restore = counted_reset, counted_step, counted_mark, \
+        counted_restore
     report = fn(env, task.demo(), budget=30000)
     assert report.complete and report.episodes == 4334
-    assert len(steps) + sum(batches) == report.total_steps == 429066
-    # 4,115 episodes replay a lead and then step 4,308 times; the other 219
-    # (the first, the 22 after an untried action at the start and the 196
-    # after a row fill) step 19,528 times
-    assert (len(steps), len(batches), sum(batches)) == (23836, 4115, 405230)
+    assert len(steps) + sum(starts) == report.total_steps == 429066
+    assert (sum(d > 0 for d in starts), sum(starts), len(steps)) == (restores, restored, stepped)
 
 
 @pytest.mark.parametrize("name", ["chain", "gem", "island"])

@@ -117,7 +117,8 @@ def test_burn_through_an_overriding_step_before_reset_raises_from_that_step():
 def test_burn_of_zero_steps_takes_no_step_and_no_draw(make):
     env, rng = make(6), random.Random(3)
     env.reset()
-    env.run([1, 4])
+    env.step(1)
+    env.step(4)
     state, before = env.state, rng.getstate()
     env.burn(rng, 0)
     assert (env.state, rng.getstate()) == (state, before)
@@ -147,5 +148,6 @@ def test_burn_steps_through_a_patched_env_step():
         env.burn(random.Random(11), 50)
     want = random.Random(11)
     assert seen == [want.randrange(env.n_actions) for _ in range(50)]
-    plain.run(seen)
+    for a in seen:
+        plain.step(a)
     assert env.state == plain.state

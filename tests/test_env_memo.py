@@ -12,15 +12,15 @@ without a test of its own:
 - the contract checks: a step before the first reset, and an action that is
   not an id, are refused and leave the state as it was;
 - `_transition` runs once per (state, action), in an env's own memo and
-  across the envs of one task, and `Env.run` refuses a bad batch before it
-  takes a step;
+  across the envs of one task;
 - envs of one task, stepped interleaved through the task's memo, emit what
-  envs with memos of their own emit.
+  envs with memos of their own emit;
+- a position that `Env.mark` gives, restored on another env of the task,
+  walks on as a reset and a loop of `step` do, and `Env.restore` refuses a
+  mark of another memo.
 
-`Env.run` walks the same rows for a batch, so it is checked against a loop
-of `step`, and `_start` is counted once per memo. The task-level properties
-(realizable demos, alignments, Markov tokens) are in
-`tests/test_env_contract.py`.
+`_start` is counted once per memo. The task-level properties (realizable
+demos, alignments, Markov tokens) are in `tests/test_env_contract.py`.
 """
 
 import gc
@@ -29,7 +29,6 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from procsearch.core import ContractViolation, Env, Task
 from procsearch.envs import ENV_REGISTRY, make_task
@@ -137,13 +136,16 @@ def test_warm_memo_keeps_the_step_contract(name):
 
 
 def drive(env, rng, episodes):
-    """Reset `env` and walk it by `step`, `run` and `burn` for `episodes`."""
+    """Reset `env` and walk it by `step` and `burn` for `episodes`, each
+    burning out twice from one marked position."""
     n = env.n_actions
     for _ in range(episodes):
         env.reset()
         for a in [rng.randrange(n) for _ in range(rng.randrange(1, 20))]:
             env.step(a)
-        env.run([rng.randrange(n) for _ in range(rng.randrange(20))])
+        at = env.mark()
+        env.burn(rng, rng.randrange(20))
+        env.restore(at)
         env.burn(rng, rng.randrange(20))
 
 
@@ -180,10 +182,10 @@ def test_a_failed_first_reset_leaves_the_env_unreset():
     env = FailsFirst()
     with pytest.raises(RuntimeError, match="no start yet"):
         env.reset()
-    for call in (lambda: env.step(0), lambda: env.run([0]),
-                 lambda: env.burn(random.Random(0), 1)):
+    for call in (lambda: env.step(0), lambda: env.burn(random.Random(0), 1)):
         with pytest.raises(ContractViolation, match="before reset"):
             call()
+    assert env.mark() is None
     assert env.state == PianoEnv().state
 
 
@@ -193,7 +195,7 @@ def test_every_env_of_a_task_starts_from_one_start_call(name):
     # _start would pay for it on every episode
     task = ENV_REGISTRY[name]()  # a task of its own, with a cold memo
     alone = task.make_env()  # an env with a memo of its own
-    want = alone.reset(), alone.run(task.solution)
+    want = alone.reset(), [alone.step(a) for a in task.solution]
     cls, calls = type(alone), []
     start = cls._start
 
@@ -205,7 +207,7 @@ def test_every_env_of_a_task_starts_from_one_start_call(name):
         for _ in range(3):
             env = task.env()
             for _ in range(5):
-                assert (env.reset(), env.run(task.solution)) == want
+                assert (env.reset(), [env.step(a) for a in task.solution]) == want
     assert len(calls) == 1
 
 
@@ -250,27 +252,8 @@ def test_piano_memo_holds_at_most_96_hands():
     assert 24 < len(env._rows) <= N_KEYS * 4 == 96
 
 
-@pytest.mark.parametrize("name", sorted(FACTORIES))
-def test_run_refuses_a_bad_batch_and_takes_no_step(name):
-    env = FACTORIES[name]()
-    with pytest.raises(ContractViolation, match="before reset"):
-        env.run([0])
-    assert env.state == env._start()[0]
-    rng, n = random.Random(name), env.n_actions
-    env.reset()
-    env.run([rng.randrange(n) for _ in range(20)])
-    state = env.state
-    for bad in (n, -1, 0.5, float(n - 1), "0", None, [0]):
-        # the bad action last, so the good ones before it are not stepped
-        with pytest.raises(ContractViolation, match="invalid action id"):
-            env.run([rng.randrange(n) for _ in range(5)] + [bad])
-        assert env.state == state
-    assert env.run([]) is None
-    assert env.state == state
-
-
 @pytest.mark.parametrize("exc", [TypeError, ValueError])
-def test_run_does_not_relabel_a_transition_error(exc):
+def test_step_and_burn_do_not_relabel_a_transition_error(exc):
     class Broken(Env):
         n_actions = 2
 
@@ -283,94 +266,82 @@ def test_run_does_not_relabel_a_transition_error(exc):
             return state + 1, "s"
 
     env = Broken()
-    env.reset()
-    with pytest.raises(exc, match="no transition") as raised:
-        env.run([0, 0, 1])
-    assert type(raised.value) is exc
+    for call in (lambda: env.step(1), lambda: env.burn(random.Random(3), 5)):
+        env.reset()
+        env.step(0)
+        with pytest.raises(exc, match="no transition") as raised:
+            call()
+        assert type(raised.value) is exc
 
 
-def craft_factories():
-    return st.sampled_from(["island", "gem", "raft"]).map(FACTORIES.__getitem__)
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_a_restored_mark_walks_on_as_a_reset_and_a_loop_of_step(name):
+    # the marking env walks on after its mark, and the resuming env starts
+    # elsewhere; the suffix reaches states that the prefix did not fill
+    task, rng = Task(name, FACTORIES[name], ()), random.Random(name)
+    marker, resumer = task.env(), task.env()
+    n = marker.n_actions
+    for _ in range(30):
+        prefix = [rng.randrange(n) for _ in range(rng.randrange(40))]
+        suffix = [rng.randrange(n) for _ in range(rng.randrange(1, 40))]
+        marker.reset()
+        for a in prefix:
+            marker.step(a)
+        at = marker.mark()
+        marker.burn(rng, rng.randrange(20))
+        resumer.reset()
+        resumer.burn(rng, rng.randrange(20))
+        resumer.restore(at)
+        toks = [resumer.step(a) for a in suffix]
+        looped = FACTORIES[name]()
+        looped.reset()
+        for a in prefix:
+            looped.step(a)
+        assert [looped.step(a) for a in suffix] == toks
+        assert looped.state == resumer.state
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(st.integers(0, 2**16).map(aliased_factory), craft_factories()), st.data())
-def test_run_equals_a_loop_of_step_from_a_cold_and_a_warm_memo(factory, data):
-    n = factory().n_actions
-    prefix = data.draw(st.lists(st.integers(0, n - 1), max_size=20), label="prefix")
-    batch = data.draw(st.lists(st.integers(0, n - 1), max_size=40), label="batch")
-    looped = factory()
-    looped.reset()
-    for a in prefix:
-        looped.step(a)
-    toks = [looped.step(a) for a in batch]
-    want = looped.state, toks[-1] if toks else None
-    cold = factory()
-    cold.reset()
-    cold.run(prefix)
-    tok = cold.run(batch)
-    assert (cold.state, tok) == want
-    looped.reset()  # its memo now holds every transition of the batch
-    looped.run(prefix)
-    tok = looped.run(batch)
-    assert (looped.state, tok) == want
-
-
-def test_run_steps_through_an_overriding_step():
-    class Logged(PianoEnv):
-        def __init__(self):
-            super().__init__()
-            self.log = []
-
-        def step(self, a):
-            self.log.append(a)
-            return super().step(a)
-
-    batch, plain = [3, 0, 8, 8, 5, 1], PianoEnv()
-    plain.reset()
-    want = [plain.step(a) for a in batch][-1]
-    env = Logged()
-    env.reset()
-    assert env.run(batch) == want
-    assert env.log == batch and env.state == plain.state
-
-
-def test_run_steps_through_a_patched_env_step():
-    seen, step = [], Env.step
-
-    def counted(env, a):
-        seen.append(a)
-        return step(env, a)
-
-    batch, env = [2, 7, 7, 0, 4], PianoEnv()
-    env.reset()
-    with mock.patch.object(Env, "step", counted):
-        env.run(batch)
-        with pytest.raises(ContractViolation):
-            env.run([1, 9])  # checked by the patched step, one action at a time
-    assert seen == batch + [1, 9]
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_restore_refuses_a_mark_of_another_memo(name):
+    # another task of the same env and a lone env reach the same states in
+    # memos of their own, so only the row's identity tells their marks apart
+    rng = random.Random(name)
+    env, other, alone = Task(name, FACTORIES[name], ()).env(), \
+        Task(name, FACTORIES[name], ()).env(), FACTORIES[name]()
+    n = env.n_actions
+    prefix = [rng.randrange(n) for _ in range(rng.randrange(1, 20))]
+    foreign = []
+    for e in (env, other, alone):
+        e.reset()
+        for a in prefix:
+            e.step(a)
+        foreign.append(e.mark())
+    row = env._row
+    for mark in (*foreign[1:], list(row), None, [], (), "mark", [[0]]):
+        with pytest.raises(ContractViolation, match="not a row of this env's memo"):
+            env.restore(mark)
+        assert env._row is row
+    env.restore(foreign[0])
+    assert env._row is row
 
 
 class OverridingPiano(PianoEnv):
-    """Overrides `step`, so `run` takes its loop of `step`."""
+    """Overrides `step`, so it gives no mark: its callers replay through it."""
 
     def step(self, a):
         return super().step(a)
 
 
-@pytest.mark.parametrize("factory", [PianoEnv, OverridingPiano], ids=["memo", "overridden"])
-@pytest.mark.parametrize("wrap", [lambda b: (a for a in b), iter, tuple, list],
-                         ids=["generator", "iterator", "tuple", "list"])
-def test_run_steps_through_any_iterable_once(factory, wrap):
-    batch, plain = [5, 5, 0], PianoEnv()
-    plain.reset()
-    want = [plain.step(a) for a in batch][-1]
-    env = factory()
+def test_an_overridden_step_gets_no_mark():
+    env = OverridingPiano()
     env.reset()
-    assert env.run(wrap(batch)) == want
-    assert env.state == plain.state
-    with pytest.raises(ContractViolation, match="invalid action id"):
-        env.run(wrap([1, N_KEYS * 9]))
+    env.step(3)
+    assert env.mark() is None
+    plain = PianoEnv()
+    plain.reset()
+    with mock.patch.object(Env, "step", lambda self, a: None):
+        assert plain.mark() is None
+    assert plain.mark() is plain._row
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))

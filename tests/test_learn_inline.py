@@ -1,8 +1,15 @@
-"""`learn` runs each episode inline, through `Env.run` and `Env.burn`'s walk
-of the memo rows, unless `search.run_episode` is patched; then it calls the
-patch once per episode. Both paths are checked against the per-episode
-reference loop in tests/oracles.py on envs that keep `Env.step` as it is,
-and against each other on random tasks and over a fixed grid of automata."""
+"""`learn` runs each episode inline, unless `search.run_episode` is patched;
+then it calls the patch once per episode. Inline, an episode restores the
+env position marked when its prefix was confirmed, steps the frontier and
+burns out with `Env.burn`'s walk of the memo rows. Both paths are checked
+against the per-episode reference loop in tests/oracles.py on envs that keep
+`Env.step` as it is, and against each other on random tasks and over a
+fixed grid of automata; two automata on which the search backtracks
+hundreds of times check the marks it cuts.
+
+With `Env.step` patched, as bench/tracer.py patches it, the env gives no
+mark: `learn` and the tabular agents then reset and replay through `step`,
+so the patch sees every step that the report counts."""
 
 import itertools
 import random
@@ -13,7 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procsearch import search
-from procsearch.core import Demonstration, Sketch, intern_token, record_demonstration
+from procsearch.agents import run_agent
+from procsearch.core import Demonstration, Env, Sketch, Task, intern_token, record_demonstration
+from procsearch.envs import make_task
 from procsearch.envs.scripted import ScriptedEnv, random_aliased_env
 from procsearch.repeats import RepeatPoolSuggester
 from procsearch.search import (
@@ -198,3 +207,53 @@ def test_a_patched_run_episode_is_called_once_per_episode_over_the_fixed_grid(n_
             full = patched_run_episode_is_called_once_per_episode(task, seed, 400)
             if isinstance(full, LearnReport) and full.episodes > 1:
                 patched_run_episode_is_called_once_per_episode(task, seed, full.episodes // 2)
+
+
+# (seed, n_actions, horizon, n_tokens) of two random aliased automata on
+# which each suggester below backtracks 376 to 916 times at seed 0
+BACKTRACKING = ((171, 3, 14, 2), (182, 3, 18, 2))
+
+
+def aliased_task(seed: int, n_actions: int, horizon: int, n_tokens: int) -> Task:
+    """A random aliased automaton's task, with one sketch label per distinct
+    action of its script."""
+    def make_env():
+        return random_aliased_env(random.Random(seed), n_actions, horizon, n_tokens)[0]
+
+    script = random_aliased_env(random.Random(seed), n_actions, horizon, n_tokens)[1]
+    return Task(f"aliased{seed}", make_env, script, Sketch(tuple(f"s{a}" for a in script)))
+
+
+@pytest.mark.parametrize("shape", BACKTRACKING, ids=["h14", "h18"])
+@pytest.mark.parametrize("kind", ["uniform", "sketch", "repeats"])
+def test_inline_episodes_cut_their_marks_on_backtracks_as_the_oracle_replays(shape, kind):
+    task = aliased_task(*shape)
+    demo = task.demo()
+    make_suggester = {"uniform": UniformSuggester, "repeats": RepeatPoolSuggester,
+                      "sketch": lambda: SketchPoolSuggester(task.sketch, demo.horizon)}[kind]
+    run = task.make_env, demo, make_suggester
+    full = outcome(learn, run, 0, 20000)
+    assert full[0].complete and full[0].backtracks >= 300
+    assert full == outcome(learn_per_episode, run, 0, 20000)
+
+
+@pytest.mark.parametrize("env_name, agent", [
+    ("aliased", "bps"), ("aliased", "plots_sketch"), ("aliased", "rmax_plus"),
+    ("aliased", "ucb_plus"), ("cpr", "bps"), ("cpr", "plots_sketch"), ("cpr", "rmax_plus"),
+    ("cpr", "ucb_plus"), ("piano", "bps"), ("piano", "plots_sketch"), ("piano", "ucb_plus"),
+])
+def test_a_patched_env_step_sees_every_step_the_report_counts(env_name, agent):
+    # replay + frontier + burn + tabular == envs.steps in bench/run.py
+    task = aliased_task(*BACKTRACKING[1]) if env_name == "aliased" else make_task(env_name)
+    demo = task.demo()
+    unpatched = run_agent(agent, task, demo, 3, 30000)
+    calls, step = [0], Env.step
+
+    def counted(env, a):
+        calls[0] += 1
+        return step(env, a)
+
+    with mock.patch.object(Env, "step", counted):
+        patched = run_agent(agent, task, demo, 3, 30000)
+    assert patched == unpatched
+    assert calls[0] == patched.total_steps > 0
