@@ -29,14 +29,14 @@ def _bps(task, demo, opts):
 
 
 def _plots_sketch(task, demo, opts):
-    settings = demo.sketch.elements, demo.horizon, opts.n_hypotheses, opts.optimistic
+    key = "plots_sketch", demo.sketch.elements, demo.horizon, opts.n_hypotheses, opts.optimistic
     return SketchPoolSuggester(demo.sketch, demo.horizon,
                                n_active=opts.n_hypotheses, optimistic=opts.optimistic,
-                               store=task._pool_stores.setdefault(settings, {}))
+                               store=task._stores.setdefault(key, {}))
 
 
 def _plots_nosketch(task, demo, opts):
-    return RepeatPoolSuggester(task._rankings)
+    return RepeatPoolSuggester(task._stores.setdefault(("plots_nosketch",), {}))
 
 
 def _bpsosa(task, demo, opts):
@@ -79,12 +79,13 @@ def run_agent(name: str, task: Task, demo: Demonstration, seed: int,
     """One full learning run of the named agent on the task; `cfg` maps
     AgentOptions field names to values.
 
-    The run steps through the task's transition memo, a plots_nosketch run
-    reads and fills the task's repeat rankings, and a plots_sketch run reads
-    and fills the task's pool store for its sketch, horizon and options,
-    popping the plans it cuts. So a later run of the task finds them warm.
-    Each is a function of the task or the plan, so a warm run reports what
-    a cold one does."""
+    The run steps through the task's transition memo, and a suggester that
+    keeps per-plan state gets the task's store for its key in `_stores`:
+    ("plots_nosketch",) for the repeat rankings, and ("plots_sketch", sketch
+    elements, horizon, n_hypotheses, optimistic) for the pool checkpoints.
+    So a later run of the task finds them warm. Each is a function of the
+    task or of the key and the plan, so a warm run reports what a cold one
+    does."""
     known = {f.name for f in fields(AgentOptions)}
     unknown = sorted(set(cfg or {}) - known)
     if unknown:

@@ -285,15 +285,10 @@ class Task:
 
     `make_env` must build the same dynamics on every call: the envs that
     `env` hands out, and the one `demo` records on, share the task's memo.
-    The task also keeps `_rankings`, the repeat rankings that every
-    `plots_nosketch` run of it shares (see `repeats.RepeatPoolSuggester`),
-    and `_pool_stores`, one sketch-pool store per (sketch elements, horizon,
-    n_active, optimistic), which maps a plan's bytes to the checkpoint that
-    confirming it saves; every `plots_sketch` run with those settings
-    shares it, and pops the plans its backtracks cut (see
-    `sketch.SketchPool`). All live as long as the task; the memo is a
-    function of the task and each ranking or checkpoint of a plan, so none
-    changes what a run does.
+    `_stores` holds per-plan state that the runs of this task share, keyed
+    by whoever fills it. Both live as long as the task; the memo is a
+    function of the task and each stored value a function of its key and
+    its plan, so neither changes what a run does.
     """
 
     name: str
@@ -302,10 +297,8 @@ class Task:
     sketch: Sketch | None = None
     alignment: tuple[tuple[int, int], ...] | None = None
     _memo: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
-    _rankings: dict[bytes, bytes] = field(default_factory=dict, init=False, repr=False,
-                                          compare=False)
-    _pool_stores: dict[tuple, dict[bytes, tuple]] = field(default_factory=dict, init=False,
-                                                          repr=False, compare=False)
+    _stores: dict[tuple, dict] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def env(self) -> Env:
         """An unreset env from `make_env` that walks the task's memo."""

@@ -12,8 +12,8 @@ that a longer plan suffix extends at the same count is not looked up.
 
 The counts are each run's own, cut back by its backtracks. The ranking is a
 function of the plan alone, so it is computed once per plan into a dict
-keyed by the plan bytes, which every `plots_nosketch` run of a task shares
-and which grows by at most one entry per distinct plan ranked.
+keyed by the plan bytes, which runs may share and which grows by at most
+one entry per distinct plan ranked.
 """
 
 from __future__ import annotations
@@ -156,9 +156,9 @@ class RepeatPoolSuggester(ActionSuggester):
 
     The store is this run's; `rankings` maps a plan (the store's `plan`
     bytes) to the store's ranking after it, as bytes, filled when a suggest
-    first needs it. A ranking is a function of the plan alone, so suggesters
-    may share one dict: `run_agent` hands every run of a task the task's.
-    Without a dict the suggester keeps a private one.
+    first needs it and never dropped. A ranking is a function of the plan
+    alone, so suggesters may share one dict. Without a dict the suggester
+    keeps a private one.
     """
 
     def __init__(self, rankings: dict[bytes, bytes] | None = None):

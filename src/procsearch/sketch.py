@@ -56,15 +56,14 @@ new length, instead of replaying the plan from the start or ranking again.
 
 Nothing of this reads an observation: a checkpoint is a function of the plan
 and the pool's settings. So a store keyed by the plan keeps each one once,
-with the hypotheses its confirmation froze; every plots_sketch run of a task
-with the same settings shares the task's store, and a confirmation whose
-plan is stored takes that checkpoint instead of computing it, adopting
-nothing. A backtrack pops the plans it cuts, which the search never
-confirms again, so the store keeps the live chain and the parts of earlier
-runs' chains that no later run cut. Stored hypotheses outlive their run, so
-a pool gives equal assigned contents one tuple: after the benchmark's
-`structured` workload the stored hypotheses assign 4,730 contents with 445
-distinct values.
+with the hypotheses its confirmation froze; pools with the same settings may
+share a store, and a confirmation whose plan is stored takes that checkpoint
+instead of computing it, adopting nothing. A backtrack pops the plans it
+cuts, which the search never confirms again, so a shared store keeps the
+live chain and the parts of earlier runs' chains that no later run cut.
+Stored hypotheses outlive their run, so a pool gives equal assigned contents
+one tuple: after the benchmark's `structured` workload the stored hypotheses
+assign 4,730 contents with 445 distinct values.
 """
 
 from __future__ import annotations
@@ -346,13 +345,12 @@ class SketchPool:
     checkpoint, the hypotheses it froze after the memory cap, the most
     children one parent had). The pool's state is a function of the plan and
     of the settings, so pools with the same sketch, horizon, `n_active` and
-    `optimistic` may share one store; `run_agent` hands every plots_sketch
-    run of a task the task's store for those settings. Without a store the
-    pool keeps a private one. A confirmation whose plan is in the store
-    takes the stored checkpoint and adopts nothing, so `seen` is left empty;
-    a rebuild pops the plans it cuts, so a private store holds exactly the
-    plan's prefixes, and a shared one the live chain and the chains of
-    earlier runs that no later run cut.
+    `optimistic` may share one store. Without a store the pool keeps a
+    private one. A confirmation whose plan is in the store takes the stored
+    checkpoint and adopts nothing, so `seen` is left empty; a rebuild pops
+    the plans it cuts, so a private store holds exactly the plan's prefixes,
+    and a shared one the live chain and the chains of earlier runs that no
+    later run cut. Nothing writes a stored hypothesis.
     """
 
     def __init__(self, sketch: Sketch, horizon: int, n_active: int = 4,
@@ -426,14 +424,13 @@ class SketchPool:
         Empty stretches must close an empty span; a single element has its
         content immediately implied (and must agree with any existing
         assignment, or as a new one leave every region wide enough); longer
-        stretches stay ambiguous regions.
+        stretches stay ambiguous regions. Every caller passes a span at least
+        the elements' minimum, so a single element's span is never empty.
         """
         n = elem_hi - elem_lo + 1
         if n <= 0:
             return pos_lo == pos_end
         if n == 1:
-            if pos_end <= pos_lo:
-                return False
             content = self._content(pb[pos_lo:pos_end])
             lbl = child.sketch[elem_lo]
             if lbl in child.assigned:

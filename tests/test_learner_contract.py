@@ -16,11 +16,12 @@ or `MODEL_REGISTRY` needs no run-contract test of its own. Each run checks:
   rows, and stops on the budget if the full run is longer, else reports
   what the full run does.
 
-Runs of one task share its transition memo, its repeat rankings and its
-sketch-pool stores, so plots_nosketch runs one after another on a
-registered task or an aliased automaton, and plots_sketch runs at mixed
-settings on long aliased automata, which make them backtrack, must each
-report what they do on a fresh copy of the task.
+Runs of one task share its transition memo and its per-plan stores
+(`Task._stores`), so runs of mixed learners, settings and seeds one after
+another on a registered task or an aliased automaton, short or long enough
+to make them backtrack, must each report what they do on a fresh copy of
+the task, and leave there at most one store, under a key of their
+learner's own.
 
 On top of that, the paper's guarantees: on Markov chains every agent
 completes within |A|·H episodes without a backtrack, and on aliased
@@ -41,9 +42,11 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from procsearch.agents import AGENT_NAMES, MODEL_REGISTRY, SUGGESTER_REGISTRY, run_agent
+from procsearch.agents import (
+    AGENT_NAMES, MODEL_REGISTRY, SUGGESTER_REGISTRY, ConfigError, check_fit, run_agent,
+)
 from procsearch.core import (
     Demonstration, Sketch, Task, intern_token, record_demonstration, spans_from_lengths,
 )
@@ -232,44 +235,51 @@ def test_every_learner_keeps_the_contract_on_long_aliased_automata(name, cfg, ta
     assert rep.complete or name in MODEL_REGISTRY
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.one_of(st.sampled_from(sorted(ENV_REGISTRY)).map(lambda env: ENV_REGISTRY[env]()),
-                 aliased_tasks()),
-       st.lists(st.integers(0, 2**16), min_size=2, max_size=3))
-def test_plots_nosketch_runs_one_after_another_report_as_on_a_fresh_task(task, seeds):
-    """Every plots_nosketch run of a task shares the task's repeat rankings
-    (and every run its transition memo): runs at several seeds, each after
-    the others on one task, report what each reports on a fresh copy of the
-    task, with a memo and rankings of its own."""
-    demo = task.demo()
-    for seed in seeds:
-        assert run_agent("plots_nosketch", task, demo, seed, 300000) == \
-            run_agent("plots_nosketch", replace(task), demo, seed, 300000), seed
-    assert task._rankings  # the runs went through the task's rankings
+TASK_FAMILIES = {
+    "registered": st.sampled_from(sorted(ENV_REGISTRY)).map(lambda env: ENV_REGISTRY[env]()),
+    "aliased": aliased_tasks(),
+    "long-aliased": long_aliased_tasks(),
+}
 
 
-SKETCH_SETTINGS = [cfg for name, cfg in LEARNERS if name == "plots_sketch"]
+@pytest.mark.parametrize("family", TASK_FAMILIES)
+def test_runs_one_after_another_report_as_on_a_fresh_task(family):
+    """Runs of several learners, settings and seeds, each after the others
+    on one task of the family, report what each reports on a fresh copy of
+    the task. The copy's `_stores` then holds at most one store, under a key
+    of that learner's own, and a plots_sketch store holds exactly the
+    checkpoints of the plan's prefixes; the task's holds the stores of the
+    runs."""
+    @settings(max_examples=20, deadline=None)
+    @given(TASK_FAMILIES[family],
+           st.lists(st.tuples(st.sampled_from(LEARNERS), st.integers(0, 2**16)),
+                    min_size=2, max_size=5))
+    def holds(task, runs):
+        demo, env = task.demo(), task.env()
+        keys = {}  # learner -> the key of its store, or None
+        for (name, cfg), seed in runs:
+            try:
+                check_fit(name, task, demo.sketch, env)
+            except ConfigError:
+                continue
+            fresh = replace(task)
+            rep = run_agent(name, fresh, demo, seed, 300000, cfg)
+            assert run_agent(name, task, demo, seed, 300000, cfg) == rep, (name, cfg, seed)
+            [key] = fresh._stores or [None]
+            assert keys.setdefault((name, *sorted(cfg.items())), key) == key, (name, cfg)
+            if name == "plots_sketch":
+                plan = bytes(rep.plan)
+                assert sorted(fresh._stores[key]) == [plan[:d] for d in range(1, len(plan) + 1)]
+        stored = [key for key in keys.values() if key is not None]
+        assert len(set(stored)) == len(stored)  # no two learners share a store
+        assert set(task._stores) == set(stored) and all(task._stores.values())
 
-
-@settings(max_examples=40, deadline=None)
-@given(long_aliased_tasks(),
-       st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(SKETCH_SETTINGS)),
-                min_size=3, max_size=5))
-def test_plots_sketch_runs_one_after_another_report_as_on_a_fresh_task(task, runs):
-    """Every plots_sketch run of a task with the same settings shares one
-    pool store of the task's, and pops the plans its backtracks cut: runs at
-    several seeds and settings, each after the others on one task, report
-    what each reports on a fresh copy of the task. The fresh copy's store
-    then holds exactly the checkpoints of the run's plan prefixes."""
-    demo = task.demo()
-    for seed, cfg in runs:
-        fresh = replace(task)
-        rep = run_agent("plots_sketch", fresh, demo, seed, 300000, cfg)
-        assert run_agent("plots_sketch", task, demo, seed, 300000, cfg) == rep, (seed, cfg)
-        [store] = fresh._pool_stores.values()
-        plan = bytes(rep.plan)
-        assert sorted(store) == [plan[:d] for d in range(1, len(plan) + 1)], (seed, cfg)
-    assert task._pool_stores  # the runs went through the task's stores
+    if family == "registered":
+        # piano backtracks, and its runs at seeds 0 and 1 confirm different plans of equal length
+        holds = example(ENV_REGISTRY["piano"](), [
+            (("plots_nosketch", {}), 0), (("plots_sketch", {}), 0), (("plots_nosketch", {}), 1),
+            (("bps", {}), 1), (("plots_sketch", {"optimistic": False}), 1)])(holds)
+    holds()
 
 
 def test_the_tree_leaves_are_the_valid_plans():

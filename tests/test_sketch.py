@@ -1,12 +1,10 @@
 import random
-from statistics import mean
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from procsearch.agents import run_agent
 from procsearch.core import Demonstration, Sketch, record_demonstration
-from procsearch.envs import make_task
 from procsearch.envs.scripted import ScriptedEnv
 from procsearch.search import UniformSuggester, learn
 from procsearch.sketch import Hypothesis, SketchPool, SketchPoolSuggester, repeated_suffix
@@ -14,8 +12,10 @@ from tests.oracles import (
     branch_scan_every_match, exact_segments, fresh_copy, is_consistent,
     optimistic_claim_every_r, repeated_suffix_scan, select_scan,
 )
+from tests.test_learner_contract import LEARNERS, long_aliased_tasks
 
-E, F, G, H_ACT, I_ACT = 0, 1, 2, 3, 4
+E, F, G, H_ACT = 0, 1, 2, 3
+SKETCH_SETTINGS = [cfg for name, cfg in LEARNERS if name == "plots_sketch"]
 
 
 def feed(pool, plan):
@@ -81,16 +81,6 @@ def test_score_partial_assignment_cross_check():
     assert m2.score() == oracle_score(m2) == 1
 
 
-def test_optimistic_suggestion_worked_example():
-    # empty hypothesis, plan (e,f,g,e): the first e is b1's first occurrence,
-    # the second e is optimistically b1 repeating with content (e,f) -> f
-    blank = Hypothesis.blank(("b1", "b2", "b1", "b3", "b1"))
-    plan = (E, F, G, E)
-    for a in plan:
-        blank.advance(a)
-    assert blank.suggest(bytes(plan)) == F
-
-
 def test_suggestion_inside_assigned_element():
     # hypothesis b1=(e,f), b2=(g) mid-way through b1's second occurrence
     pool = SketchPool(Sketch(("b1", "b2", "b1", "b3", "b1")), horizon=8)
@@ -135,16 +125,6 @@ def test_optimistic_toggle_off_returns_none():
     assert blank.suggest(bytes(plan), optimistic=False) is None
 
 
-def test_optimism_speeds_up_learning_on_island():
-    # the paper's claim: answering open runs optimistically learns faster
-    task = make_task("island")
-    demo = task.demo()
-    episodes = {opt: [run_agent("plots_sketch", task, demo, seed, 30000,
-                                {"optimistic": opt}).episodes for seed in range(10)]
-                for opt in (True, False)}
-    assert mean(episodes[False]) >= 1.5 * mean(episodes[True])
-
-
 def test_branching_consistent_evidence_example():
     # plan (e,f,g,e) instantiates exactly b1=(e) with implied b2=(f,g)
     pool = SketchPool(Sketch(("b1", "b2", "b1", "b3", "b1")), horizon=10)
@@ -161,21 +141,6 @@ def test_branching_one_step_later_adds_longer_child_once():
     # the (e)-child exists exactly once: it was not re-instantiated at t=5
     assert got.count({"b1": (E,), "b2": (F, G)}) == 1
     assert len(got) == 2
-
-
-def test_branching_residual_prefix_example():
-    # sketch (b3,b1,b2,b1), plan (e,f,g,h,i,f,g,h): three children assigning
-    # b1 in {(h),(g,h),(f,g,h)} with the residual prefix as b3 and the
-    # stretch between the occurrences as b2
-    pool = SketchPool(Sketch(("b3", "b1", "b2", "b1")), horizon=16)
-    feed(pool, (E, F, G, H_ACT, I_ACT, F, G, H_ACT))
-    got = assignments(pool)
-    expected = [
-        {"b1": (H_ACT,), "b2": (I_ACT, F, G), "b3": (E, F, G)},
-        {"b1": (G, H_ACT), "b2": (I_ACT, F), "b3": (E, F)},
-        {"b1": (F, G, H_ACT), "b2": (I_ACT,), "b3": (E,)},
-    ]
-    assert sorted(map(repr, got)) == sorted(map(repr, expected))
 
 
 def test_branch_count_bounded_by_half_horizon():
@@ -484,3 +449,40 @@ def test_carried_memos_match_a_fresh_copy(labels, ops, horizon, n_active):
             pool.rebuild(len(plan))
         for h in pool.active + pool.frozen:
             assert memos(h) == memos(fresh_copy(h))
+
+
+def test_advancing_a_shared_copy_leaves_the_original_as_it_was():
+    # b1=(e,f), b2=(g) mid-way through b1's second occurrence: f closes b1,
+    # which adds a block to the copy's layout
+    h = Hypothesis(("b1", "b2", "b1", "b3", "b1"), {"b1": (E, F), "b2": (G,)}, [], 0)
+    h._enter(0, 0)
+    assert all(h.advance(a) for a in (E, F, G, E))
+    before, copy = h.key(), h._copy(share=True)
+    assert copy.advance(F) and len(copy.layout) == len(h.layout) + 1
+    assert h.key() == before
+
+
+def stored_keys(entry) -> tuple:
+    """The keys of the hypotheses of a pool-store entry, and the actions its
+    ranking claims."""
+    (active, _, ranking, _, _), frozen, _ = entry
+    return [h.key() for h in active], [h.key() for h in frozen], [(h.key(), a) for h, a in ranking]
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_aliased_tasks(),
+       st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(SKETCH_SETTINGS)),
+                min_size=2, max_size=5))
+def test_stored_hypotheses_never_change(task, runs):
+    """Advance copies share `assigned` and `layout` with the stored
+    hypotheses they advance, and a task's pool stores outlive each run: after
+    each plots_sketch run, every entry that an earlier run left in a store,
+    and that is still there, holds hypotheses with the keys it had then."""
+    demo, snapshot = task.demo(), []
+    for seed, cfg in runs:
+        run_agent("plots_sketch", task, demo, seed, 300000, cfg)
+        for store, pb, entry, keys in snapshot:
+            if store.get(pb) is entry:
+                assert stored_keys(entry) == keys, (seed, cfg, pb)
+        snapshot = [(store, pb, entry, stored_keys(entry))
+                    for store in task._stores.values() for pb, entry in store.items()]

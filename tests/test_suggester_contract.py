@@ -12,19 +12,19 @@ test of its own. After each op:
   a confirmation that does not extend the plan by one action and a cut
   outside [0, len(plan)].
 
-A warm sketch entry starts on a checkpoint store that another suggester on
-the same sketch filled with an unrelated op sequence, as a plots_sketch run
-starts on its task's store; it too must equal the fresh suggester, whose
-store is private, after every op. A private store holds exactly the plan's
-prefixes, and a rebuild restores the adoption count a fresh pool has.
-
-Repeat suggesters may share one rankings dict, as every plots_nosketch run
-of a task does: two of them on one dict, fed interleaved ops, suggest what
-suggesters with dicts of their own suggest.
+A suggester that keeps its per-plan state in a dict may share the dict, as
+the runs of a task share the task's stores. A warm entry's suggester shares
+one with a second suggester of the entry, which runs warm-up ops first and
+then its own ops interleaved with the tested one's; after every op of
+either, the tested suggester must still equal the fresh suggester, whose
+dict is private, in its suggestions and its view. A private pool store
+holds exactly the plan's prefixes, and a rebuild restores the adoption
+count a fresh pool has.
 
 The oracles of what each suggests are in `test_sketch` and `test_repeats`.
 """
 
+import itertools
 from typing import Callable, NamedTuple
 
 import pytest
@@ -52,10 +52,10 @@ OPS = (0, 1, 2, MOTIF, MOTIF, *map(cut, range(4)))
 
 class Entry(NamedTuple):
     name: str
-    make: Callable  # (sketch, alignment) -> suggester; a warm entry's takes a store too
+    make: Callable  # (sketch, alignment) -> suggester; a warm entry's takes a dict too
     view: Callable  # suggester -> a snapshot of the state the plan fixes
     examples: int = 15  # random op sequences, on top of the @examples
-    warm: bool = False  # the suggester starts on a store that warm-up ops filled
+    warm: bool = False  # the suggester shares its dict with a second one
 
 
 def stateless(sug) -> tuple:
@@ -93,6 +93,8 @@ SUGGESTERS = [
     *(sketch_entry(n, opt, h, warm=True) for n, opt, h in ((1, True, 14), (2, False, 2),
                                                            (4, True, 2), (4, True, 14))),
     Entry("repeats", lambda sketch, spans: RepeatPoolSuggester(), repeat_view, examples=250),
+    Entry("warm-repeats", lambda sketch, spans, rankings=None: RepeatPoolSuggester(rankings),
+          repeat_view, examples=100, warm=True),
     Entry("oracle", lambda sketch, spans: OracleAlignedSuggester(spans, sketch), stateless),
 ]
 
@@ -152,52 +154,55 @@ def check_refusals(entry: Entry, sug, plan) -> None:
     assert entry.view(sug) == state
 
 
-def warmed(entry: Entry, sketch, spans, motif: list, warmup: list):
-    """A suggester of `entry` on a store that another one filled with `warmup`."""
-    store = {}
-    other, plan = entry.make(sketch, spans, store), PartialPlan(N_ACTIONS)
-    for op in warmup:
-        apply(op, other, plan, motif)
-    return entry.make(sketch, spans, store)
-
-
 @pytest.mark.parametrize("entry", SUGGESTERS, ids=lambda e: e.name)
 def test_a_suggester_is_a_function_of_the_plan(entry):
     @settings(max_examples=entry.examples, deadline=None)
     @given(sketches(), st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=5),
            st.lists(st.sampled_from(OPS), max_size=40),
-           st.lists(st.sampled_from(OPS), max_size=40))  # the warm-up, for a warm entry
+           # for a warm entry: the second suggester's warm-up, then its interleaved ops
+           st.lists(st.sampled_from(OPS), max_size=40),
+           st.lists(st.sampled_from(OPS), max_size=40))
     # cuts of several levels at once, of none, and past the plan's start
     @example((["b0", "b1", "b0"], [1, 2, 1]), [0, 1],
              [MOTIF, 2, MOTIF, MOTIF, cut(3), MOTIF, 1, cut(2), cut(0), MOTIF, cut(3), cut(3), 2,
-              cut(3)], [MOTIF, MOTIF, MOTIF, MOTIF])
+              cut(3)], [MOTIF, MOTIF, MOTIF, MOTIF], [cut(2), MOTIF, 2, cut(1), MOTIF])
     @example((["b0", "b0", "b0"], [1, 1, 1]), [1], [1, 1, 1, cut(0)],  # frozen ones to re-create
-             [1, 1, 1])
+             [1, 1, 1], [cut(0), 1, 1])
     # a plan that overflows the smallest frozen cap, then cuts back to the empty plan
     @example((["b0", "b1"] * 4, [1] * 8), [0, 1, 1, 0, 2],
              [MOTIF] * 5 + [cut(1), 0, cut(1), 1, cut(1)] + [cut(1)] * 6 + [cut(3)] * 6,
-             [MOTIF] * 5)
+             [MOTIF] * 5, [cut(3)] * 3 + [MOTIF] * 3)
     # a freeze undone, twice
     @example((["b1", "b1"], [1, 1]), [1], [1, 1, cut(1), 1, cut(1), 2, cut(1), cut(1)],
-             [1, 1, 2])
+             [1, 1, 2], [cut(1), 1, cut(1), 1])
     # a cut, then regrowth to the same length with other actions; the
     # warm-up's chain diverges from the plan after one action
-    @example((["b0"], [2]), [0, 1], [MOTIF, MOTIF, MOTIF, cut(1), 2], [0, 2, MOTIF, MOTIF])
-    def holds(task, motif, ops, warmup):
+    @example((["b0"], [2]), [0, 1], [MOTIF, MOTIF, MOTIF, cut(1), 2], [0, 2, MOTIF, MOTIF],
+             [cut(3), 2, MOTIF])
+    def holds(task, motif, ops, warmup, theirs):
         sketch, spans = Sketch(tuple(task[0])), spans_from_lengths(task[1])
-        if entry.warm:
-            sug = warmed(entry, sketch, spans, motif, warmup)
-        else:
-            sug = entry.make(sketch, spans)
         plan = PartialPlan(N_ACTIONS)
-        for op in ops:
-            apply(op, sug, plan, motif)
-            if entry.view is not stateless:
-                check_refusals(entry, sug, plan)
-            got = suggestions(sug, plan)
-            fresh = fed(entry.make(sketch, spans), plan)
-            assert got == suggestions(fresh, plan)
-            assert entry.view(sug) == entry.view(fresh)
+        if entry.warm:
+            shared, their_plan = {}, PartialPlan(N_ACTIONS)
+            other = entry.make(sketch, spans, shared)
+            for op in warmup:
+                apply(op, other, their_plan, motif)
+            sug = entry.make(sketch, spans, shared)
+        else:
+            sug, theirs = entry.make(sketch, spans), []
+        fresh = entry.make(sketch, spans)
+        want = suggestions(fresh, plan), entry.view(fresh)
+        for op, their_op in itertools.zip_longest(ops, theirs):
+            if op is not None:
+                apply(op, sug, plan, motif)
+                if entry.view is not stateless:
+                    check_refusals(entry, sug, plan)
+                fresh = fed(entry.make(sketch, spans), plan)
+                want = suggestions(fresh, plan), entry.view(fresh)
+            if their_op is not None:
+                assert (suggestions(sug, plan), entry.view(sug)) == want
+                apply(their_op, other, their_plan, motif)
+            assert (suggestions(sug, plan), entry.view(sug)) == want
 
     holds()
 
@@ -231,24 +236,6 @@ def test_a_rebuild_restores_the_adoption_count_of_a_fresh_pool(task, motif, ops)
     for op in ops:
         apply(op, sug, plan, motif)
         assert sug.pool._created == fed(SketchPoolSuggester(sketch, 14, 2), plan).pool._created
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=5),
-       st.lists(st.tuples(st.integers(0, 1), st.sampled_from(OPS)), max_size=40))
-def test_repeat_suggesters_sharing_their_rankings_suggest_as_alone(motif, ops):
-    """`run_agent` hands every plots_nosketch run of a task one rankings
-    dict. Two repeat suggesters on one dict, each fed its own ops with a
-    common motif, so that their plans share prefixes, suggest after every
-    op what a fresh suggester with a dict of its own suggests."""
-    rankings = {}
-    sugs = [RepeatPoolSuggester(rankings), RepeatPoolSuggester(rankings)]
-    plans = [PartialPlan(N_ACTIONS), PartialPlan(N_ACTIONS)]
-    for i, op in ops:
-        apply(op, sugs[i], plans[i], motif)
-        for sug, plan in zip(sugs, plans):
-            assert suggestions(sug, plan) == suggestions(fed(RepeatPoolSuggester(), plan), plan)
-            assert bytes(plan.confirmed) in rankings
 
 
 @pytest.mark.parametrize("make, reason", [
