@@ -60,12 +60,13 @@ class Env:
     start row and token too, so `_start` runs at the first reset that
     succeeds on a memo and never again for its envs.
 
-    `burn(rng, m)` takes `m` steps with actions drawn as
-    `rng.randrange(n_actions)` draws them, each walked in the loop that
-    draws it, equal to a loop of `step`; `mark()` gives the position and
+    `burn(rng, m)` burns out an episode: it draws the `m` actions that
+    `rng.randrange(n_actions)` would draw, walks none of them, and leaves
+    the env unpositioned, as before its first reset, so a `step` before the
+    next `reset` or `restore` is refused. `mark()` gives the position and
     `restore(mark)` returns to it. A subclass or a patch that overrides
-    `step` sees every action: `burn` is then that loop, and `mark()` gives
-    None, so callers reset and replay through `step`.
+    `step` sees every action: `burn` is then a loop of that `step`, and
+    `mark()` gives None, so callers reset and replay through `step`.
     """
 
     n_actions: int = 0
@@ -91,14 +92,21 @@ class Env:
         return tok
 
     def burn(self, rng, m: int) -> None:
-        """Take `m` steps with random actions, each drawn exactly as
-        `rng.randrange(n_actions)` draws it: `getrandbits(k)` for the bit
-        length `k` of n_actions, drawn again while it is n_actions or more.
+        """Draw `m` random actions exactly as `m` calls of
+        `rng.randrange(n_actions)` draw them, and leave the env unpositioned.
 
-        The same state and the same draws as a loop of
-        `step(rng.randrange(n_actions))`; the draws are ids by construction,
-        so only the reset is checked, before anything is drawn. When `step`
-        is overridden, `burn` is that loop over the same draws, and the
+        No one reads a burnt-out step, and the next episode resets or
+        restores, so the memo path walks nothing and only advances `rng`.
+        `randrange(n)` draws `getrandbits(k)`, for the bit length `k` of n,
+        again while it is n or more, and with k <= 32 each draw is the top k
+        bits of one 32-bit word. For n <= 255, while many actions remain, a
+        round draws one word per action still to draw in one
+        `getrandbits(32 * m)`, the first word in the lowest bits, and counts
+        the words whose top byte is below `n << (8 - k)`: each word gives at
+        most one action, so no round draws past the last. The last few
+        draws, and every draw for n > 255, go one at a time. Only the reset
+        is checked, before anything is drawn. When `step` is overridden,
+        `burn` is a loop of that `step` over the same draws, and the
         override makes the checks.
         """
         n = self.n_actions
@@ -112,21 +120,27 @@ class Env:
                 while a >= n:
                     a = getrandbits(k)
                 step(a)
+            self._row = None
             return
         if self._row is None:
             raise ContractViolation("burn() before reset()")
-        row = self._row
+        self._row = None
+        if n <= 255 and m > _BURN_TAIL:
+            rejected = _REJECTED_TOP_BYTES.get(n)
+            if rejected is None:
+                rejected = _REJECTED_TOP_BYTES[n] = bytes(range(n << (8 - k), 256))
+            while m > _BURN_TAIL:
+                words = getrandbits(32 * m).to_bytes(4 * m, "little")
+                m -= len(words[3::4].translate(None, rejected))
         for _ in range(m):
-            a = getrandbits(k)
-            while a >= n:
-                a = getrandbits(k)
-            row = (row[a] or self._fill(row, a))[0]
-        self._row = row
+            while getrandbits(k) >= n:
+                pass
 
     def mark(self) -> list | None:
-        """The current position, for `restore`; None before the first reset,
-        and None while `step` is overridden, so that the caller replays
-        through `step` and the override sees every action."""
+        """The current position, for `restore`; None while the env is
+        unpositioned (before the first reset and after a `burn`), and None
+        while `step` is overridden, so that the caller replays through
+        `step` and the override sees every action."""
         return self._row if type(self).step is _ENV_STEP else None
 
     def restore(self, mark: list) -> None:
@@ -142,7 +156,8 @@ class Env:
 
     @property
     def state(self):
-        """The latent state; the start state until the first reset."""
+        """The latent state; the start state while the env is unpositioned,
+        before the first reset and after a `burn`."""
         return self._start()[0] if self._row is None else self._row[-1]
 
     def _fill(self, row: list, a: Action) -> tuple:
@@ -164,7 +179,9 @@ class Env:
         raise NotImplementedError
 
 
-_ENV_STEP = Env.step  # `burn` walks the rows and `mark` gives a position only under this step
+_ENV_STEP = Env.step  # `burn` skips the steps and `mark` gives a position only under this step
+_BURN_TAIL = 16  # `burn` draws this many or fewer one at a time: a round would cost more
+_REJECTED_TOP_BYTES: dict[int, bytes] = {}  # n -> the top bytes of a word that `burn` rejects
 
 
 @dataclass(frozen=True)

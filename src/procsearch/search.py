@@ -15,8 +15,11 @@ agents plug in sketch-hypothesis, repeat-mining or oracle-aligned suggesters.
 One loop, `_episodes`, runs every episode: it restores the `env.mark()`
 taken when the frontier's last action was confirmed, instead of replaying
 the prefix (its first episode resets and replays), steps the frontier
-through `env.step`, and burns out with one `env.burn`, which draws each
-action as `rng.randrange(n_actions)` would. `learn` runs it to the budget
+through `env.step`, and burns out with one `env.burn`, which draws the
+episode's remaining actions as `rng.randrange(n_actions)` would but walks
+none of them: no one reads those steps, and the next episode starts from a
+mark or a reset. The uniform fallback at the frontier draws its index as
+`rng.randrange` would too. `learn` runs it to the budget
 and `run_episode` for one episode. When `run_episode` is overridden by a
 patch on this module, `learn` calls the override once per episode instead,
 so it sees every episode, as an override of `Env.step` sees every step
@@ -146,7 +149,7 @@ def _episodes(env: Env, demo: Demonstration, plan: PartialPlan, suggester: Actio
     confirmed, ruled_out, observations = plan.confirmed, plan.ruled_out, demo.observations
     reset, step, burn, mark, restore = env.reset, env.step, env.burn, env.mark, env.restore
     suggest, on_confirmed, on_failed = suggester.suggest, suggester.on_confirmed, suggester.on_failed
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     episodes = total_steps = backtracks = 0
     steps = len(confirmed)  # the frontier
     marks = [None] * (steps + 1)  # marks[i]: the env after confirmed[:i], or None to replay
@@ -176,7 +179,12 @@ def _episodes(env: Env, demo: Demonstration, plan: PartialPlan, suggester: Actio
                 a = suggest(plan, excluded)
                 if a is None or a in excluded:
                     candidates = [x for x in range(n) if x not in excluded]
-                    a = candidates[randrange(len(candidates))]
+                    c = len(candidates)  # draws as randrange(c), without its frames
+                    k = c.bit_length()
+                    i = getrandbits(k)
+                    while i >= c:
+                        i = getrandbits(k)
+                    a = candidates[i]
                 if step(a) == observations[steps]:
                     confirmed.append(a)
                     ruled_out.append(set())

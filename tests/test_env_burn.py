@@ -1,10 +1,16 @@
-"""`Env.burn` against a loop of `step(rng.randrange(n))`.
+"""`Env.burn` against a loop of `rng.randrange(n)`.
 
 The episode loop burns out through `burn`, so every golden CSV depends on it
 drawing exactly what `randrange` draws. `burn` copies the running
 interpreter's `randrange`, so the comparison runs on every interpreter the
-tests run on: over a fixed grid of action counts, burn lengths, seeds and
-memo temperatures, and over random cases drawn by Hypothesis.
+tests run on: over a fixed grid of action counts, burn lengths and seeds,
+and over random cases drawn by Hypothesis. The grid takes in the action
+counts on both sides of 255, where the draws in bulk stop, and burn lengths
+on both sides of the few that `burn` draws one at a time.
+
+On the memo path `burn` walks nothing: it leaves the env unpositioned and
+its memo as it was. Through an overriding `step`, every draw reaches that
+`step`, and the env is then unpositioned too.
 """
 
 import itertools
@@ -49,53 +55,60 @@ class LoggedTrail(Trail):
         return super().step(a)
 
 
-ACTION_COUNTS = st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32]), st.integers(1, 40))
+ACTION_COUNTS = st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32, 255, 256, 300]),
+                          st.integers(1, 40))
 
 
-def burn_matches_randrange(n: int, m: int, seed: int, warm: bool, make=Trail) -> None:
-    """Raise AssertionError unless `burn(rng, m)` on `make(n)` ends where `m`
-    steps of `rng.randrange(n)` do, with the same rng state afterwards; with
-    `warm`, the burn reads only rows that the same walk already filled."""
-    want, got = make(n), make(n)
-    want.reset()
-    rng = random.Random(seed)
-    for _ in range(m):
-        want.step(rng.randrange(n))
-    got.reset()
-    if warm:
-        walk = random.Random(seed)
-        for _ in range(m):
-            got.step(walk.randrange(n))
-        got.reset()
+def assert_unpositioned(env: Env) -> None:
+    """`env` gives no mark and refuses a step until it is reset."""
+    assert env.mark() is None
+    with pytest.raises(ContractViolation, match="before reset"):
+        Env.step(env, 0)
+
+
+def burn_matches_randrange(n: int, m: int, seed: int, walked: int, make=Trail) -> None:
+    """Raise AssertionError unless `burn(rng, m)` on `make(n)`, after
+    `walked` steps from the reset, leaves `rng` where `m` calls of
+    `rng.randrange(n)` do and the env unpositioned; on the memo path the
+    memo keeps its rows, and through an overriding `step` that `step` is
+    given every draw."""
+    rng, env = random.Random(seed), make(n)
+    env.reset()
+    for a in range(walked):
+        env.step(a % n)
+    rows, log = dict(env._rows), list(getattr(env, "log", ()))
+    want = [rng.randrange(n) for _ in range(m)]
     drawn = random.Random(seed)
-    got.burn(drawn, m)
-    assert got.state == want.state, (n, m, seed, warm, got.state, want.state)
-    assert drawn.getstate() == rng.getstate(), (n, m, seed, warm)
+    env.burn(drawn, m)
+    assert drawn.getstate() == rng.getstate(), (n, m, seed, walked)
+    assert_unpositioned(env)
+    if make is Trail:
+        assert env._rows == rows  # no row filled, none changed
+    else:
+        assert env.log == log + want
 
 
-@pytest.mark.parametrize("n", range(1, 41))
+@pytest.mark.parametrize("n", [*range(1, 41), 255, 256, 300])
 def test_burn_matches_randrange_over_the_fixed_grid(n):
-    for m, seed, warm in itertools.product((0, 1, 2, 3, 7, 31, 64, 200), (0, 1, 2), (False, True)):
-        burn_matches_randrange(n, m, seed, warm)
+    burns = (0, 1, 2, 3, 7, 15, 16, 17, 18, 31, 33, 64, 200, 500)
+    for m, seed, walked in itertools.product(burns, (0, 1, 2), (0, 3)):
+        burn_matches_randrange(n, m, seed, walked)
 
 
 @settings(max_examples=300, deadline=None)
-@given(ACTION_COUNTS, st.integers(0, 200), st.integers(0, 2**32), st.booleans())
-@example(1, 200, 0, False)
-@example(40, 200, 0, True)
-def test_burn_draws_and_walks_as_a_loop_of_randrange(n, m, seed, warm):
-    burn_matches_randrange(n, m, seed, warm)
+@given(ACTION_COUNTS, st.integers(0, 500), st.integers(0, 2**32), st.integers(0, 5))
+@example(1, 500, 0, 0)
+@example(40, 500, 0, 5)
+@example(255, 17, 0, 0)
+@example(256, 17, 0, 0)
+def test_burn_draws_as_a_loop_of_randrange_and_walks_nothing(n, m, seed, walked):
+    burn_matches_randrange(n, m, seed, walked)
 
 
 @settings(max_examples=60, deadline=None)
-@given(ACTION_COUNTS, st.integers(0, 200), st.integers(0, 2**32), st.booleans())
-def test_burn_through_an_overriding_step_sees_every_draw(n, m, seed, warm):
-    burn_matches_randrange(n, m, seed, warm, make=LoggedTrail)
-    env, rng = LoggedTrail(n), random.Random(seed)
-    env.reset()
-    env.burn(rng, m)
-    want = random.Random(seed)
-    assert env.log == [want.randrange(n) for _ in range(m)]
+@given(ACTION_COUNTS, st.integers(0, 200), st.integers(0, 2**32), st.integers(0, 5))
+def test_burn_through_an_overriding_step_sees_every_draw(n, m, seed, walked):
+    burn_matches_randrange(n, m, seed, walked, make=LoggedTrail)
 
 
 def test_burn_before_reset_raises_and_draws_nothing():
@@ -119,10 +132,11 @@ def test_burn_of_zero_steps_takes_no_step_and_no_draw(make):
     env.reset()
     env.step(1)
     env.step(4)
-    state, before = env.state, rng.getstate()
+    before = rng.getstate()
     env.burn(rng, 0)
-    assert (env.state, rng.getstate()) == (state, before)
+    assert rng.getstate() == before
     assert getattr(env, "log", [1, 4]) == [1, 4]
+    assert_unpositioned(env)
 
 
 def test_burn_with_no_action_raises_instead_of_drawing_forever():
@@ -150,4 +164,5 @@ def test_burn_steps_through_a_patched_env_step():
     assert seen == [want.randrange(env.n_actions) for _ in range(50)]
     for a in seen:
         plain.step(a)
-    assert env.state == plain.state
+    assert env._rows.keys() == plain._rows.keys()  # the patched step walked every draw
+    assert_unpositioned(env)

@@ -1,7 +1,8 @@
 """`learn` runs each episode inline, unless `search.run_episode` is patched;
 then it calls the patch once per episode. Inline, an episode restores the
 env position marked when its prefix was confirmed, steps the frontier and
-burns out with `Env.burn`'s walk of the memo rows. Both paths are checked
+burns out with `Env.burn`, which draws the rest of the episode's actions,
+walks none of them and leaves the env unpositioned. Both paths are checked
 against the per-episode reference loop in tests/oracles.py on envs that keep
 `Env.step` as it is, and against each other on random tasks and over a
 fixed grid of automata; two automata on which the search backtracks
@@ -131,27 +132,39 @@ def memo_tasks(draw):
 def outcome(learner, task, seed: int, budget: int):
     """The report, or the UnsatisfiableDemo raised, then the suggester calls
     with the plan each found, the RNG's state and the env's latent state at
-    the end of a run on a fresh env."""
+    the end of a run on a fresh env, or None if the env is unpositioned."""
     make_env, demo, make_suggester = task
     env, rng, suggester = make_env(), random.Random(seed), HookLog(make_suggester())
     try:
         result = learner(env, demo, suggester, rng, budget)
     except UnsatisfiableDemo as e:
         result = ("UnsatisfiableDemo", str(e))
-    return result, suggester.log, rng.getstate(), env.state
+    return result, suggester.log, rng.getstate(), None if env.mark() is None else env.state
+
+
+def inline_matches_the_oracle(task, seed: int, budget: int):
+    """Assert that `learn` and the per-episode oracle give equal reports, or
+    the same UnsatisfiableDemo, the same suggester calls on the same plans
+    and equal RNG states. A run that ends complete ends on a step, and both
+    envs end in the same state; any other ends on a burn-out, which the
+    oracle walks and `learn` leaves unpositioned. Return the report."""
+    inline, oracle = outcome(learn, task, seed, budget), outcome(learn_per_episode, task, seed, budget)
+    assert inline[:3] == oracle[:3]
+    if isinstance(inline[0], LearnReport) and inline[0].complete:
+        assert inline[3] == oracle[3] is not None
+    else:
+        assert inline[3] is None
+    return inline[0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(memo_tasks(), st.integers(0, 2**32), st.data())
 def test_inline_episodes_on_memo_envs_match_the_per_episode_oracle(task, seed, data):
-    """Equal reports, or the same UnsatisfiableDemo, the same suggester calls
-    on the same plans, and equal RNG and env states, at the full budget and
-    at a budget from 1 up to the episodes the full run took."""
-    full = outcome(learn, task, seed, CAP)
-    assert full == outcome(learn_per_episode, task, seed, CAP)
-    ends = full[0].episodes if isinstance(full[0], LearnReport) else CAP
-    budget = data.draw(st.integers(1, ends), label="budget")
-    assert outcome(learn, task, seed, budget) == outcome(learn_per_episode, task, seed, budget)
+    """The same run as the oracle's, at the full budget and at a budget from
+    1 up to the episodes the full run took."""
+    full = inline_matches_the_oracle(task, seed, CAP)
+    ends = full.episodes if isinstance(full, LearnReport) else CAP
+    inline_matches_the_oracle(task, seed, data.draw(st.integers(1, ends), label="budget"))
 
 
 def patched_run_episode_is_called_once_per_episode(task, seed: int, budget: int):
@@ -232,9 +245,8 @@ def test_inline_episodes_cut_their_marks_on_backtracks_as_the_oracle_replays(sha
     make_suggester = {"uniform": UniformSuggester, "repeats": RepeatPoolSuggester,
                       "sketch": lambda: SketchPoolSuggester(task.sketch, demo.horizon)}[kind]
     run = task.make_env, demo, make_suggester
-    full = outcome(learn, run, 0, 20000)
-    assert full[0].complete and full[0].backtracks >= 300
-    assert full == outcome(learn_per_episode, run, 0, 20000)
+    full = inline_matches_the_oracle(run, 0, 20000)
+    assert full.complete and full.backtracks >= 300
 
 
 @pytest.mark.parametrize("env_name, agent", [

@@ -26,7 +26,10 @@ learner's own.
 On top of that, the paper's guarantees: on Markov chains every agent
 completes within |A|·H episodes without a backtrack, and on aliased
 automata every plan agent meets the completeness bound and exhausts a
-demonstration it cannot reproduce.
+demonstration it cannot reproduce. On automata too long to list the tree
+of consistent prefixes, the bound is counted over the latent states the
+prefixes reach, and a plan agent must complete only where the bound fits
+the run's budget: no guarantee promises more.
 
 A budget of 0 is refused. That test and the long-automaton test are
 parametrized by learner, so a failure names its learner in the test id.
@@ -168,9 +171,38 @@ def aliased_tasks(draw):
         labels.setdefault(seg, f"s{len(labels)}") for seg in segments])
 
 
-def max_episodes(tree, horizon: int, n_actions: int) -> int:
-    """The completeness bound on the episodes of a search of `tree`."""
-    return 1 + n_actions * sum(len(p) < horizon for p in tree) - (len(tree) - 1)
+def max_episodes(counts, horizon: int, n_actions: int) -> int:
+    """The completeness bound on the episodes of a search of a tree with
+    `counts[d]` nodes at depth d."""
+    return 1 + n_actions * sum(counts[:horizon]) - (sum(counts) - 1)
+
+
+def depth_counts(tree) -> list[int]:
+    """The number of nodes of `tree` at each depth."""
+    counts = [0] * (max(map(len, tree)) + 1)
+    for p in tree:
+        counts[len(p)] += 1
+    return counts
+
+
+def consistent_prefix_counts(env, demo: Demonstration) -> list[int]:
+    """`depth_counts(consistent_prefixes(env, demo))`, without the tree: the
+    prefixes of one length that reach one latent state have the same
+    consistent extensions, so they are counted together, one mark each."""
+    env.reset()
+    at = {env.state: (env.mark(), 1)}  # state -> (its mark, prefixes reaching it)
+    counts = [1]
+    for tok in demo.observations:
+        reached = {}
+        for mark, k in at.values():
+            for a in range(env.n_actions):
+                env.restore(mark)
+                if env.step(a) == tok:
+                    there, j = reached.get(env.state, (env.mark(), 0))
+                    reached[env.state] = there, j + k
+        at = reached
+        counts.append(sum(k for _, k in at.values()))
+    return counts
 
 
 @settings(max_examples=100, deadline=None)
@@ -195,12 +227,13 @@ def test_every_plan_agent_meets_the_completeness_bound(task, seed, data):
     raises `UnsatisfiableDemo`; a tabular agent reports an incomplete run."""
     demo, env = task.demo(), task.env()
     tree = consistent_prefixes(env, demo)
-    horizon, n_actions = demo.horizon, env.n_actions
-    bound = max_episodes(tree, horizon, n_actions)
+    counts, horizon, n_actions = depth_counts(tree), demo.horizon, env.n_actions
+    assert consistent_prefix_counts(env, demo) == counts
+    bound = max_episodes(counts, horizon, n_actions)
     at = data.draw(st.integers(0, horizon - 1), label="unemitted at")
     unsatisfiable = Demonstration((*demo.observations[:at], UNEMITTED,
                                    *demo.observations[at + 1:]), demo.sketch)
-    exhausted = max_episodes([p for p in tree if len(p) <= at], horizon, n_actions) + 1
+    exhausted = max_episodes(counts[:at + 1], horizon, n_actions) + 1
     for name, cfg in LEARNERS:
         rep = check_run(name, cfg, task, demo, seed, bound + 1, data)
         if name in SUGGESTER_REGISTRY:
@@ -216,23 +249,43 @@ def test_every_plan_agent_meets_the_completeness_bound(task, seed, data):
 
 @st.composite
 def long_aliased_tasks(draw):
-    """11 to 40 steps over two tokens, too long for the tree, under an
+    """11 to 40 steps over two tokens, too long to list the tree, under an
     arbitrary sketch: random labels over the segments."""
     return aliased_task(draw, range(11, 41), 2, lambda draw, segments: draw(st.lists(
         st.sampled_from(("s0", "s1", "s2", "s3")), min_size=len(segments), max_size=len(segments))))
 
 
+def hard_long_automaton() -> Task:
+    """29 steps over three actions and two tokens, under the sketch (s0, s0):
+    the completeness bound is 856,929 episodes, and at seed 0 bps and every
+    plots agent are still searching after 300,000."""
+    env, script = random_aliased_env(random.Random(9807), 3, 29, 2)
+    return Task(name="aliased", make_env=lambda: copy.copy(env), solution=script,
+                sketch=Sketch(("s0", "s0")), alignment=spans_from_lengths([14, 15]))
+
+
+LONG_BUDGET = 30000  # the most episodes a run on a long automaton takes
+
+
 @each_learner
 @settings(max_examples=30, deadline=None)
 @given(task=long_aliased_tasks(), seed=st.integers(0, 2**16))
+@example(task=hard_long_automaton(), seed=0)
 def test_every_learner_keeps_the_contract_on_long_aliased_automata(name, cfg, task, seed):
     """Most sketch hypotheses are garbage here; whatever the suggesters do,
-    every plan agent ends with a plan that reproduces the demonstration,
-    across backtracks and pool rebuilds."""
-    demo = task.demo()
-    rep = run_agent(name, task, demo, seed, 300000, cfg)
-    check_report(rep, task, demo, 300000)
-    assert rep.complete or name in MODEL_REGISTRY
+    every run keeps the report contract and is sound, across backtracks and
+    pool rebuilds. The tree of consistent prefixes can be too large for any
+    budget, so the run's budget is the completeness bound, at most
+    LONG_BUDGET, and a plan agent must complete where the bound fits."""
+    demo, env = task.demo(), task.env()
+    counts = consistent_prefix_counts(env, demo)
+    bound = max_episodes(counts, demo.horizon, env.n_actions)
+    budget = min(bound, LONG_BUDGET)
+    rep = run_agent(name, task, demo, seed, budget, cfg)
+    check_report(rep, task, demo, budget)
+    if name in SUGGESTER_REGISTRY and bound <= LONG_BUDGET:
+        assert rep.complete
+        assert rep.backtracks <= sum(counts) - demo.horizon - 1
 
 
 TASK_FAMILIES = {
